@@ -27,7 +27,6 @@ def _add_adapt_flags(p: argparse.ArgumentParser):
     p.add_argument("--beta-hat", type=float, default=0.3, help="label smoothing ceiling")
     p.add_argument("--steps-per-frame", type=int, default=1)
     p.add_argument("--k-feat", type=int, default=20, help="feature neighborhood size")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-lgl", action="store_true", help="disable local label aggregation")
     p.add_argument("--no-ggf", action="store_true", help="disable prototype fine-tuning")
     p.add_argument("--no-tgr", action="store_true", help="disable temporal consistency")
@@ -39,7 +38,7 @@ def _config_from_args(args) -> harness.AdaptConfig:
     return harness.AdaptConfig(
         k=args.k, lam=args.lam, alpha=args.alpha, window=args.window, tau=args.tau,
         lr=args.lr, wd=args.wd, eps=args.eps, beta_hat=args.beta_hat,
-        steps_per_frame=args.steps_per_frame, k_feat=args.k_feat, seed=args.seed,
+        steps_per_frame=args.steps_per_frame, k_feat=args.k_feat,
         use_lgl=not args.no_lgl, use_ggf=not args.no_ggf, use_tgr=not args.no_tgr,
         use_cw=not args.no_cw, use_alg=not args.no_alg,
     )
@@ -114,19 +113,22 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     class_map = _load_class_map(args.class_map)
-    pred_frames = sorted(Path(args.pred).glob("*.label"))
-    gt_frames = sorted(Path(args.gt).glob("*.label"))
-    if len(pred_frames) != len(gt_frames):
-        print("prediction/ground-truth frame counts differ", file=sys.stderr)
+    pred_files = {p.stem: p for p in Path(args.pred).glob("*.label")}
+    gt_files = {p.stem: p for p in Path(args.gt).glob("*.label")}
+    unpaired = sorted(pred_files.keys() ^ gt_files.keys())
+    for stem in unpaired:
+        missing = "ground truth" if stem in pred_files else "prediction"
+        print(f"frame {stem} has no {missing} file", file=sys.stderr)
+    if unpaired:
         return 1
     if class_map is None:
         class_map = ClassMap.canonical()
     num_classes = class_map.num_classes
     total = (np.zeros((num_classes, num_classes), dtype=np.int64),
              np.zeros(num_classes, dtype=np.int64))
-    for pred_path, gt_path in zip(pred_frames, gt_frames):
-        pred = LabelField(stream.read_label_file(pred_path))
-        gt = remap_labels(stream.read_label_file(gt_path), class_map)
+    for stem in sorted(pred_files):
+        pred = LabelField(stream.read_label_file(pred_files[stem]))
+        gt = remap_labels(stream.read_label_file(gt_files[stem]), class_map)
         total = harness._accumulate(total, harness.confusion_matrix(pred, gt, num_classes))
     iou, miou = harness.iou_from_confusion(total)
     width = max(len(n) for n in class_map.canonical_names)

@@ -43,13 +43,11 @@ class AdaptConfig:
     beta_hat: float = 0.3       # label smoothing ceiling
     steps_per_frame: int = 1
     k_feat: int = 20            # neighborhood size for geometric features
-    seed: int = 0
     use_lgl: bool = True
     use_ggf: bool = True
     use_tgr: bool = True
     use_cw: bool = True
     use_alg: bool = True
-    adapt: bool = True          # False = source-only evaluation
 
 
 @dataclass
@@ -120,64 +118,51 @@ def iou_from_confusion(conf_miss):
     return iou, miou
 
 
-def _predict(params: NetworkParams, features_norm) -> LabelField:
-    probs, _, _ = forward(params, features_norm)
-    return LabelField(np.argmax(probs.values, axis=1))
-
-
 def frame_features(frame: Frame, k_feat: int):
     """Spatial index plus normalized network inputs for one frame."""
     index = spatial.build_index(frame.points)
-    feats = normalize_features(
-        spatial.local_geometric_features(frame.points, index, k_feat))
+    feats = normalize_features(spatial.local_geometric_features(index, k_feat))
     return index, feats
 
 
-def adapt_frame(state: AdaptationState, frame: Frame, cached=None):
+def adapt_frame(state: AdaptationState, frame: Frame):
     """Evaluate the incoming frame, then run one adaptation update.
 
-    Returns (eval_pred, state); eval_pred is recorded before any update so
-    the evaluation protocol always scores the model adapted to the previous
-    frame. `cached` may carry precomputed (index, features).
+    Returns (eval_pred, source_pred, state). eval_pred is recorded before any
+    update, so the evaluation protocol always scores the model adapted to the
+    previous frame; source_pred is the frozen source model's prediction.
     """
     cfg = state.config
     num_classes = state.source_params.num_classes
     validate_frame(frame)
 
-    index, feats = cached if cached is not None else frame_features(frame, cfg.k_feat)
+    index, feats = frame_features(frame, cfg.k_feat)
 
     probs_eval, z_target, _ = forward(state.target_params, feats)
     eval_pred = LabelField(np.argmax(probs_eval.values, axis=1))
-    if not cfg.adapt:
-        return eval_pred, state
 
     # local pseudo-labels from the frozen source model; disabling the local
     # module degrades to plain argmax with entropy-only ranking (K = 0)
     source_probs, _, _ = forward(state.source_params, feats)
+    source_pred = LabelField(np.argmax(source_probs.values, axis=1))
     k_eff = cfg.k if cfg.use_lgl else 0
     labels_all, scores, selected = local_labels.run_lgl(
-        frame, source_probs, k_eff, cfg.lam, num_classes, index=index)
+        source_probs, index, k_eff, cfg.lam, num_classes)
 
+    supervision = LabelField(np.where(selected.values, labels_all.values, IGNORE))
     if cfg.use_ggf:
         centroids, counts = prototypes.build_prototypes(
             z_target, labels_all, selected, num_classes)
         state.bank = prototypes.ema_update(state.bank, centroids, counts, cfg.alpha)
         if state.bank.seen.any():
             global_labels = prototypes.global_pseudo_labels(z_target, state.bank)
-            if cfg.use_alg:
-                local_for_fusion = labels_all
-            else:
-                local_for_fusion = LabelField(
-                    np.where(selected.values, labels_all.values, IGNORE))
-            supervision = prototypes.fuse_local_global(local_for_fusion, global_labels)
-        else:
-            supervision = LabelField(np.where(selected.values, labels_all.values, IGNORE))
-    else:
-        supervision = LabelField(np.where(selected.values, labels_all.values, IGNORE))
+            supervision = prototypes.fuse_local_global(
+                labels_all if cfg.use_alg else supervision, global_labels)
 
+    # the buffer holds previous frames, newest last; frame t - window is `window` back
     temporal_batch = None
-    if cfg.use_tgr and len(state.ring_buffer) == cfg.window:
-        oldest = state.ring_buffer[0]
+    if cfg.use_tgr and len(state.ring_buffer) >= cfg.window:
+        oldest = state.ring_buffer[-cfg.window]
         pairs = spatial.match_correspondences(frame, oldest.frame, cfg.tau, index_t=index)
         if len(pairs):
             temporal_batch = TemporalBatch(
@@ -189,6 +174,7 @@ def adapt_frame(state: AdaptationState, frame: Frame, cached=None):
                 confidence_weighted=cfg.use_cw,
             )
 
+    del index  # frees the cached neighbourhood before the loss, the frame's memory peak
     for _ in range(cfg.steps_per_frame):
         _, grads, _ = total_loss_and_grad(
             state.target_params, feats, supervision, scores, cfg.beta_hat,
@@ -198,9 +184,9 @@ def adapt_frame(state: AdaptationState, frame: Frame, cached=None):
             eps=cfg.eps)
 
     state.ring_buffer.append(_BufferEntry(frame, feats, scores.values.copy()))
-    if len(state.ring_buffer) > cfg.window:
+    while len(state.ring_buffer) > cfg.window:
         state.ring_buffer.pop(0)
-    return eval_pred, state
+    return eval_pred, source_pred, state
 
 
 @dataclass
@@ -260,10 +246,10 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
             state: AdaptationState | None = None):
     """Single sequential pass over a frame stream.
 
-    Returns (RunReport, final state). A source-only evaluation pass runs
-    alongside to report the improvement. `state` may be supplied to continue
-    a previous run (continual mode); `dump_dir` writes predictions in .label
-    format.
+    Returns (RunReport, final state). The frozen source model's predictions
+    are scored alongside to report the improvement. `state` may be supplied
+    to continue a previous run (continual mode); `config` then replaces its
+    config for every stage. `dump_dir` writes predictions in .label format.
     """
     if class_map is None:
         class_map = ClassMap.identity(source_params.num_classes)
@@ -273,6 +259,7 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
             f"checkpoint has {source_params.num_classes} classes, map has {num_classes}")
     if state is None:
         state = AdaptationState.init(source_params, config)
+    state.config = config
 
     frame_ids, per_iou, per_miou, times = [], [], [], []
     total = (np.zeros((num_classes, num_classes), dtype=np.int64),
@@ -291,8 +278,7 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
             gt = remap_labels(frame.gt_labels, class_map)
 
         start = time.perf_counter()
-        cached = frame_features(frame, config.k_feat)
-        eval_pred, state = adapt_frame(state, frame, cached=cached)
+        eval_pred, source_pred, state = adapt_frame(state, frame)
         elapsed = time.perf_counter() - start
 
         if dump_dir is not None:
@@ -304,9 +290,8 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
             cm = confusion_matrix(eval_pred, gt, num_classes)
             total = _accumulate(total, cm)
             iou, miou = iou_from_confusion(cm)
-
-            src_pred = _predict(state.source_params, cached[1])
-            source_total = _accumulate(source_total, confusion_matrix(src_pred, gt, num_classes))
+            source_total = _accumulate(source_total,
+                                       confusion_matrix(source_pred, gt, num_classes))
         else:
             iou = np.full(num_classes, np.nan)
             miou = float("nan")

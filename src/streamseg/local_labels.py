@@ -9,17 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Frame, ConfidenceField, LabelField, ProbabilityField, SelectionMask
-from .errors import KTooLarge, LengthMismatch
-from .spatial import SpatialIndex, build_index, knn_batch
-
-
-def _neighborhoods(index: SpatialIndex, k: int):
-    """K+1 nearest neighbors of every indexed point, self included."""
-    n = len(index)
-    if k + 1 > n:
-        raise KTooLarge(f"K+1={k + 1} exceeds the number of points ({n})")
-    return knn_batch(index, index.points, k + 1)
+from .core import ConfidenceField, LabelField, ProbabilityField, SelectionMask
+from .errors import LengthMismatch
+from .spatial import SpatialIndex
 
 
 def aggregate_predictions(probs: ProbabilityField, index: SpatialIndex, k: int) -> ProbabilityField:
@@ -28,7 +20,7 @@ def aggregate_predictions(probs: ProbabilityField, index: SpatialIndex, k: int) 
     Weights are exp(-distance) with distance in meters; the point itself
     participates with weight 1.
     """
-    idx, dist = _neighborhoods(index, k)
+    idx, dist = index.neighbors(k + 1)
     w = np.exp(-dist)
     agg = np.einsum("nk,nkc->nc", w, probs.values[idx]) / w.sum(axis=1, keepdims=True)
     agg = np.clip(agg, 0.0, 1.0)
@@ -58,7 +50,7 @@ def prediction_certainty(probs: ProbabilityField, num_classes: int) -> Confidenc
 def geometric_purity(labels: LabelField, index: SpatialIndex, k: int,
                      num_classes: int) -> ConfidenceField:
     """Anti-entropy of the label histogram inside each K+1 neighborhood."""
-    idx, _ = _neighborhoods(index, k)
+    idx, _ = index.neighbors(k + 1)
     n, m = idx.shape
     neigh_labels = labels.values[idx]
     flat = np.arange(n).repeat(m) * num_classes + neigh_labels.ravel()
@@ -102,14 +94,12 @@ def select_per_class(labels: LabelField, scores: ConfidenceField,
     return SelectionMask(selected)
 
 
-def run_lgl(frame: Frame, source_probs: ProbabilityField, k: int, lam: float,
-            num_classes: int, index: SpatialIndex | None = None):
-    """Full local pseudo-labeling pass on one frame.
+def run_lgl(source_probs: ProbabilityField, index: SpatialIndex, k: int, lam: float,
+            num_classes: int):
+    """Full local pseudo-labeling pass over the points of one frame's index.
 
     Returns (labels over all points, confidence scores, selection mask).
     """
-    if index is None:
-        index = build_index(frame.points)
     aggregated = aggregate_predictions(source_probs, index, k)
     labels = local_pseudo_labels(aggregated)
     certainty = prediction_certainty(aggregated, num_classes)

@@ -257,9 +257,8 @@ class OptimizerState:
 
 def adam_step(params: NetworkParams, grads: dict, state: OptimizerState,
               lr: float = 1e-3, wd: float = 1e-5, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              decoupled_wd: bool = True):
-    """One bias-corrected Adam step; weight decay is decoupled by default."""
+              beta2: float = 0.999, eps: float = 1e-8):
+    """One bias-corrected Adam step with decoupled weight decay."""
     state.step += 1
     t = state.step
     for name, p in params.tensors.items():
@@ -268,15 +267,11 @@ def adam_step(params: NetworkParams, grads: dict, state: OptimizerState,
             g = np.zeros_like(p)
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name}")
-        if not decoupled_wd:
-            g = g + wd * p
         state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
         m_hat = state.m[name] / (1 - beta1 ** t)
         v_hat = state.v[name] / (1 - beta2 ** t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        if decoupled_wd:
-            update = update + lr * wd * p
+        update = lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * p
         params.tensors[name] = p - update
     return params, state
 

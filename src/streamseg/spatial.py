@@ -21,9 +21,11 @@ _SLACK = 8
 
 
 class SpatialIndex:
-    """Immutable K-NN index over one frame's points.
+    """K-NN index over one frame's points, caching their widest self-query.
 
-    Safe for concurrent queries once built.
+    Points and tree are fixed at construction. Queries from several threads
+    are safe and exact; threads racing on `neighbors` may each run the query
+    and keep the narrower result, which costs only a later re-query.
     """
 
     def __init__(self, points):
@@ -35,6 +37,7 @@ class SpatialIndex:
         self._points = points.copy()
         self._points.setflags(write=False)
         self._tree = cKDTree(self._points)
+        self._neighbors = None      # read-only (idx, dist) of the widest self-query
 
     @property
     def points(self) -> np.ndarray:
@@ -42,6 +45,26 @@ class SpatialIndex:
 
     def __len__(self):
         return self._points.shape[0]
+
+    def neighbors(self, k: int):
+        """The k nearest indexed points of every indexed point, self included.
+
+        Equals `knn_batch(self, self.points, k)`: exact K-NN rows are totally
+        ordered by (distance, index), so the first k columns of a wider result
+        are the k-NN result, and only a request wider than all before it runs
+        a query. The returned arrays are read-only.
+        """
+        n = len(self)
+        if k < 1 or k > n:
+            raise KTooLarge(f"k={k} exceeds the number of indexed points ({n})")
+        cached = self._neighbors
+        if cached is None or cached[0].shape[1] < k:
+            cached = knn_batch(self, self._points, k)
+            for a in cached:
+                a.setflags(write=False)
+            self._neighbors = cached
+        idx, dist = cached
+        return idx[:, :k], dist[:, :k]
 
 
 def build_index(points) -> SpatialIndex:
@@ -152,20 +175,21 @@ def match_correspondences(frame_t: Frame, frame_prev: Frame, tau: float,
     return CorrespondenceSet(idx[keep, 0], prev_idx, dist[keep, 0])
 
 
-def local_geometric_features(points, index: SpatialIndex, k_feat: int) -> np.ndarray:
+def local_geometric_features(index: SpatialIndex, k_feat: int) -> np.ndarray:
     """Per-point 9-dim geometric descriptor.
 
-    Columns: x, y, z, range, height, linearity, planarity, scattering, and
-    local density (k_feat over the neighborhood bounding-sphere volume).
+    Computed for every indexed point. Columns: x, y, z, range, height,
+    linearity, planarity, scattering, and local density (k_feat over the
+    neighborhood bounding-sphere volume).
     Eigen-features come from the covariance of the k_feat nearest neighbors;
     degenerate neighborhoods (largest eigenvalue < 1e-12) emit zeros.
     """
     if k_feat < 3:
         raise ValueError("k_feat must be at least 3")
-    points = np.asarray(points, dtype=np.float64)
-    idx, dist = knn_batch(index, points, k_feat)
+    points = index.points
+    idx, dist = index.neighbors(k_feat)
 
-    neigh = index.points[idx]                       # (N, k, 3)
+    neigh = points[idx]                             # (N, k, 3)
     mu = neigh.mean(axis=1, keepdims=True)
     centered = neigh - mu
     cov = np.einsum("nkd,nke->nde", centered, centered) / k_feat

@@ -110,3 +110,16 @@ class TestErrorPaths:
         a.mkdir(), b.mkdir()
         stream.write_label_file(a / "000000.label", np.zeros(3, dtype=np.int64))
         assert cli.main(["eval", str(a), str(b)]) == 1
+
+    def test_eval_pairs_files_by_stem(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        labels = np.zeros(3, dtype=np.int64)
+        for stem in ("000001", "000002"):
+            stream.write_label_file(pred / f"{stem}.label", labels)
+        for stem in ("000000", "000001"):
+            stream.write_label_file(gt / f"{stem}.label", labels)
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert "000000" in err and "000002" in err

@@ -1,11 +1,14 @@
 """Metrics, the evaluation protocol, and the adaptation loop plumbing."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from streamseg.core import ClassMap, IGNORE, LabelField
 from streamseg.errors import CheckpointMismatch, LengthMismatch
-from streamseg import harness, model, stream
+from streamseg import harness, model, spatial, stream
 
 
 def tiny_stream(frames=8, seed=3):
@@ -78,31 +81,23 @@ class TestAdaptFrame:
         frames = tiny_stream(2)
         params = tiny_params()
         state = harness.AdaptationState.init(params, harness.AdaptConfig())
-        cached = harness.frame_features(frames[0], 20)
-        expected = harness._predict(params, cached[1])
-        pred, state = harness.adapt_frame(state, frames[0], cached=cached)
-        # the returned prediction is the pre-update model's
-        np.testing.assert_array_equal(pred.values, expected.values)
+        probs, _, _ = model.forward(params, harness.frame_features(frames[0], 20)[1])
+        expected = np.argmax(probs.values, axis=1)
+        pred, source_pred, state = harness.adapt_frame(state, frames[0])
+        # the returned predictions are the pre-update model's and the source's,
+        # which start out equal
+        np.testing.assert_array_equal(pred.values, expected)
+        np.testing.assert_array_equal(source_pred.values, expected)
         # and the update really happened
         assert not np.array_equal(state.target_params.tensors["embed_w"],
                                   params.tensors["embed_w"])
-
-    def test_adapt_false_freezes_params(self):
-        frames = tiny_stream(3)
-        params = tiny_params()
-        state = harness.AdaptationState.init(params, harness.AdaptConfig(adapt=False))
-        for f in frames:
-            _, state = harness.adapt_frame(state, f)
-        for name in params.names():
-            np.testing.assert_array_equal(state.target_params.tensors[name],
-                                          params.tensors[name])
 
     def test_source_params_never_move(self):
         frames = tiny_stream(4)
         params = tiny_params()
         state = harness.AdaptationState.init(params, harness.AdaptConfig())
         for f in frames:
-            _, state = harness.adapt_frame(state, f)
+            _, _, state = harness.adapt_frame(state, f)
         for name in params.names():
             np.testing.assert_array_equal(state.source_params.tensors[name],
                                           params.tensors[name])
@@ -112,7 +107,7 @@ class TestAdaptFrame:
         cfg = harness.AdaptConfig(window=3)
         state = harness.AdaptationState.init(tiny_params(), cfg)
         for f in frames:
-            _, state = harness.adapt_frame(state, f)
+            _, _, state = harness.adapt_frame(state, f)
             assert len(state.ring_buffer) <= 3
         assert state.ring_buffer[-1].frame.frame_id == frames[-1].frame_id
 
@@ -144,6 +139,51 @@ class TestRunTta:
         np.testing.assert_allclose(first.per_frame_miou + second.per_frame_miou,
                                    whole.per_frame_miou, atol=1e-12)
 
+    def test_continuation_takes_the_new_config(self):
+        frames = tiny_stream(6)
+        params = tiny_params()
+        cfg = harness.AdaptConfig(window=3)
+        _, state = harness.run_tta(frames[:4], params, cfg)
+        before = {name: state.target_params.tensors[name].copy() for name in params.names()}
+        _, state = harness.run_tta(frames[4:], params, replace(cfg, lr=0.0, window=2),
+                                   state=state)
+        # lr = 0 (which also zeroes the decoupled decay) leaves every weight as is
+        for name in params.names():
+            np.testing.assert_array_equal(state.target_params.tensors[name], before[name])
+        assert len(state.ring_buffer) == 2
+
+    def test_one_self_query_and_one_forward_per_model_per_frame(self, monkeypatch):
+        frames = tiny_stream(3)
+        cfg = harness.AdaptConfig(window=2)
+        calls = []
+
+        def count(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            # rebind every module that imported the function by name too
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("streamseg")
+                        and vars(module).get(fn.__name__) is fn):
+                    monkeypatch.setattr(module, fn.__name__, wrapped)
+
+        count("knn", spatial.knn_batch)
+        count("forward", model.forward_graph)
+        per_frame = []
+
+        class Frames:
+            def __iter__(self):
+                for f in frames:
+                    calls.clear()
+                    yield f
+                    per_frame.append(list(calls))
+
+        harness.run_tta(Frames(), tiny_params(), cfg)
+        # the last frame has temporal pairs: one self-query plus one match;
+        # target eval, source, loss and previous-frame forwards
+        assert per_frame[-1].count("knn") == 2
+        assert per_frame[-1].count("forward") == 4
+
     def test_class_count_mismatch(self):
         frames = tiny_stream(2)
         with pytest.raises(CheckpointMismatch):
@@ -152,14 +192,14 @@ class TestRunTta:
 
     def test_dump_dir_writes_labels(self, tmp_path):
         frames = tiny_stream(3)
-        harness.run_tta(frames, tiny_params(), harness.AdaptConfig(adapt=False),
+        harness.run_tta(frames, tiny_params(), harness.AdaptConfig(),
                         dump_dir=tmp_path / "pred")
         dumped = sorted(p.name for p in (tmp_path / "pred").glob("*.label"))
         assert dumped == ["000000.label", "000001.label", "000002.label"]
 
     def test_csv_text_determinism_columns(self):
         frames = tiny_stream(3)
-        rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig(adapt=False))
+        rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig())
         with_time = rep.csv_text(include_time=True)
         without = rep.csv_text(include_time=False)
         assert "time_s" in with_time.splitlines()[0]
@@ -170,7 +210,7 @@ class TestRunTta:
 
     def test_table_text_mentions_improvement(self):
         frames = tiny_stream(2)
-        rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig(adapt=False))
+        rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig())
         text = rep.table_text()
         assert "improvement" in text
         assert "cumulative mIoU" in text

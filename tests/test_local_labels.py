@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamseg.core import ConfidenceField, Frame, LabelField, ProbabilityField
+from streamseg.core import ConfidenceField, LabelField, ProbabilityField
 from streamseg.errors import KTooLarge, LengthMismatch
 from streamseg import local_labels as ll
 from streamseg.spatial import build_index
@@ -159,8 +159,7 @@ class TestRunLgl:
         noisy[flip] = 1 - noisy[flip]
         probs = np.full((100, 2), 0.2)
         probs[np.arange(100), noisy] = 0.8
-        frame = Frame(0, pts, np.eye(4), None)
-        labels, scores, mask = ll.run_lgl(frame, ProbabilityField(probs),
+        labels, scores, mask = ll.run_lgl(ProbabilityField(probs), build_index(pts),
                                           k=12, lam=10.0, num_classes=2)
         np.testing.assert_array_equal(labels.values, true)
         assert 0 < mask.values.sum() < 100

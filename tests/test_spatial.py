@@ -84,6 +84,64 @@ class TestKnn:
         assert np.all(np.diff(dist, axis=1) >= 0)
 
 
+def _self_query_clouds():
+    rng = np.random.default_rng(21)
+    # random points, and criterion 1's integer grid with its exact ties
+    return [rng.normal(size=(300, 3)) * 4,
+            rng.integers(0, 12, size=(400, 3)).astype(float)]
+
+
+class TestSelfNeighbors:
+    @staticmethod
+    def _count_queries(monkeypatch):
+        calls = []
+        direct = spatial.knn_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return direct(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "knn_batch", counted)
+        return calls, direct
+
+    @pytest.mark.parametrize("cloud", range(2))
+    def test_narrow_request_is_prefix_of_wide_query(self, monkeypatch, cloud):
+        pts = _self_query_clouds()[cloud]
+        calls, direct = self._count_queries(monkeypatch)
+        index = spatial.build_index(pts)
+        index.neighbors(20)
+        for k in (1, 11, 20):
+            idx, dist = index.neighbors(k)
+            ref_idx, ref_dist = direct(index, pts, k)
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(dist, ref_dist)
+        assert calls == [20]
+
+    @pytest.mark.parametrize("cloud", range(2))
+    def test_wider_request_queries_again(self, monkeypatch, cloud):
+        pts = _self_query_clouds()[cloud]
+        calls, direct = self._count_queries(monkeypatch)
+        index = spatial.build_index(pts)
+        index.neighbors(5)
+        idx, dist = index.neighbors(12)
+        ref_idx, ref_dist = direct(index, pts, 12)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
+        index.neighbors(12)
+        assert calls == [5, 12]
+
+    def test_result_is_read_only(self):
+        idx, dist = spatial.build_index(_self_query_clouds()[0]).neighbors(4)
+        assert not idx.flags.writeable and not dist.flags.writeable
+
+    def test_k_out_of_range(self):
+        index = spatial.build_index(np.zeros((3, 3)))
+        index.neighbors(3)
+        for k in (0, 4):
+            with pytest.raises(KTooLarge):
+                index.neighbors(k)
+
+
 class TestRelativeTransform:
     def test_inverse_composition(self):
         rng = np.random.default_rng(5)
@@ -143,19 +201,19 @@ class TestGeometricFeatures:
         pts = np.column_stack([rng.uniform(-1, 1, 300),
                                rng.uniform(-1, 1, 300),
                                np.zeros(300)])
-        feats = spatial.local_geometric_features(pts, spatial.build_index(pts), 12)
+        feats = spatial.local_geometric_features(spatial.build_index(pts), 12)
         # rank-2 covariance: linearity + planarity -> 1, scattering -> 0
         assert np.all(feats[:, 5] + feats[:, 6] > 1 - 1e-9)
         assert np.all(feats[:, 7] < 1e-9)
 
     def test_linear_patch(self):
         pts = np.column_stack([np.linspace(0, 5, 200), np.zeros(200), np.zeros(200)])
-        feats = spatial.local_geometric_features(pts, spatial.build_index(pts), 8)
+        feats = spatial.local_geometric_features(spatial.build_index(pts), 8)
         assert np.all(feats[:, 5] > 1 - 1e-9)
 
     def test_degenerate_neighborhood_emits_zeros(self):
         pts = np.zeros((10, 3))  # all identical -> lambda_1 == 0
-        feats = spatial.local_geometric_features(pts, spatial.build_index(pts), 5)
+        feats = spatial.local_geometric_features(spatial.build_index(pts), 5)
         np.testing.assert_array_equal(feats[:, 5:8], 0.0)
 
     def test_rotation_invariance_of_eigenfeatures(self):
@@ -165,16 +223,16 @@ class TestGeometricFeatures:
         rot = np.array([[np.cos(theta), -np.sin(theta), 0],
                         [np.sin(theta), np.cos(theta), 0],
                         [0, 0, 1.0]])
-        f_a = spatial.local_geometric_features(pts, spatial.build_index(pts), 10)
+        f_a = spatial.local_geometric_features(spatial.build_index(pts), 10)
         rotated = pts @ rot.T
-        f_b = spatial.local_geometric_features(rotated, spatial.build_index(rotated), 10)
+        f_b = spatial.local_geometric_features(spatial.build_index(rotated), 10)
         np.testing.assert_allclose(f_a[:, 5:8], f_b[:, 5:8], atol=1e-6)
         # density uses neighborhood radius only -> also invariant
         np.testing.assert_allclose(f_a[:, 8], f_b[:, 8], rtol=1e-6)
 
     def test_first_five_columns_are_coordinates(self):
         pts = np.array([[1.0, 2.0, 2.0]] * 4 + [[0.0, 0.1, 0.2]] * 4)
-        feats = spatial.local_geometric_features(pts, spatial.build_index(pts), 3)
+        feats = spatial.local_geometric_features(spatial.build_index(pts), 3)
         np.testing.assert_allclose(feats[0, :3], [1, 2, 2])
         assert feats[0, 3] == pytest.approx(3.0)   # range
         assert feats[0, 4] == pytest.approx(2.0)   # height
