@@ -10,7 +10,7 @@ import numpy as np
 
 from . import harness, model, spatial, stream
 from .core import ClassMap, LabelField, remap_labels
-from .errors import StreamSegError
+from .errors import LengthMismatch, StreamSegError
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
@@ -25,7 +25,6 @@ def _add_adapt_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=3e-3,
                    help="Adam denominator floor during adaptation")
     p.add_argument("--beta-hat", type=float, default=0.3, help="label smoothing ceiling")
-    p.add_argument("--steps-per-frame", type=int, default=1)
     p.add_argument("--k-feat", type=int, default=20, help="feature neighborhood size")
     p.add_argument("--no-lgl", action="store_true", help="disable local label aggregation")
     p.add_argument("--no-ggf", action="store_true", help="disable prototype fine-tuning")
@@ -37,8 +36,7 @@ def _add_adapt_flags(p: argparse.ArgumentParser):
 def _config_from_args(args) -> harness.AdaptConfig:
     return harness.AdaptConfig(
         k=args.k, lam=args.lam, alpha=args.alpha, window=args.window, tau=args.tau,
-        lr=args.lr, wd=args.wd, eps=args.eps, beta_hat=args.beta_hat,
-        steps_per_frame=args.steps_per_frame, k_feat=args.k_feat,
+        lr=args.lr, wd=args.wd, eps=args.eps, beta_hat=args.beta_hat, k_feat=args.k_feat,
         use_lgl=not args.no_lgl, use_ggf=not args.no_ggf, use_tgr=not args.no_tgr,
         use_cw=not args.no_cw, use_alg=not args.no_alg,
     )
@@ -129,7 +127,11 @@ def cmd_eval(args) -> int:
     for stem in sorted(pred_files):
         pred = LabelField(stream.read_label_file(pred_files[stem]))
         gt = remap_labels(stream.read_label_file(gt_files[stem]), class_map)
-        total = harness._accumulate(total, harness.confusion_matrix(pred, gt, num_classes))
+        try:
+            cm = harness.confusion_matrix(pred, gt, num_classes)
+        except LengthMismatch as e:
+            raise LengthMismatch(f"frame {stem}: {e}") from e
+        total = harness._accumulate(total, cm)
     iou, miou = harness.iou_from_confusion(total)
     width = max(len(n) for n in class_map.canonical_names)
     for name, value in zip(class_map.canonical_names, iou):

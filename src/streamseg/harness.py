@@ -10,22 +10,26 @@ single optimizer step on the combined objective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import local_labels, prototypes, spatial
-from .core import IGNORE, ClassMap, ConfidenceField, Frame, LabelField, remap_labels, validate_frame
-from .errors import CheckpointMismatch, LengthMismatch
+from .core import IGNORE, ClassMap, Frame, LabelField, remap_labels, validate_frame
+from .errors import CheckpointMismatch, ConfigInvalid, LengthMismatch
 from .model import (
     NetworkParams,
     OptimizerState,
     TemporalBatch,
     adam_step,
     forward,
+    forward_graph,
+    loss_and_grad,
+    make_leaves,
     normalize_features,
-    total_loss_and_grad,
 )
+from .stream import write_label_file
 
 
 @dataclass
@@ -41,13 +45,23 @@ class AdaptConfig:
     wd: float = 1e-5
     eps: float = 3e-3           # Adam denominator floor; damps near-zero-gradient drift
     beta_hat: float = 0.3       # label smoothing ceiling
-    steps_per_frame: int = 1
     k_feat: int = 20            # neighborhood size for geometric features
     use_lgl: bool = True
     use_ggf: bool = True
     use_tgr: bool = True
     use_cw: bool = True
     use_alg: bool = True
+
+    def __post_init__(self):
+        checks = (("window", self.window >= 1, ">= 1"),
+                  ("k", self.k >= 0, ">= 0"),
+                  ("k_feat", self.k_feat >= 3, ">= 3"),
+                  ("lam", 0 <= self.lam < 100, "in [0, 100)"),
+                  ("tau", self.tau > 0, "> 0"),
+                  ("eps", self.eps > 0, "> 0"))
+        for name, ok, bound in checks:
+            if not ok:
+                raise ConfigInvalid(f"{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -86,13 +100,13 @@ def evaluate_iou(pred: LabelField, gt: LabelField, num_classes: int):
 
     Classes with zero union get NaN and are excluded from the mean.
     """
-    if len(pred) != len(gt):
-        raise LengthMismatch("prediction and ground truth lengths differ")
-    conf = confusion_matrix(pred, gt, num_classes)
-    return iou_from_confusion(conf)
+    return iou_from_confusion(confusion_matrix(pred, gt, num_classes))
 
 
 def confusion_matrix(pred: LabelField, gt: LabelField, num_classes: int) -> np.ndarray:
+    if len(pred) != len(gt):
+        raise LengthMismatch(
+            f"prediction has {len(pred)} labels, ground truth has {len(gt)}")
     keep = gt.values != IGNORE
     g = gt.values[keep]
     p = pred.values[keep]
@@ -138,9 +152,6 @@ def adapt_frame(state: AdaptationState, frame: Frame):
 
     index, feats = frame_features(frame, cfg.k_feat)
 
-    probs_eval, z_target, _ = forward(state.target_params, feats)
-    eval_pred = LabelField(np.argmax(probs_eval.values, axis=1))
-
     # local pseudo-labels from the frozen source model; disabling the local
     # module degrades to plain argmax with entropy-only ranking (K = 0)
     source_probs, _, _ = forward(state.source_params, feats)
@@ -148,6 +159,12 @@ def adapt_frame(state: AdaptationState, frame: Frame):
     k_eff = cfg.k if cfg.use_lgl else 0
     labels_all, scores, selected = local_labels.run_lgl(
         source_probs, index, k_eff, cfg.lam, num_classes)
+
+    # one graph of the target model serves the evaluation, the prototypes and the loss
+    leaves = make_leaves(state.target_params)
+    outputs = forward_graph(leaves, feats)
+    eval_pred = LabelField(np.argmax(outputs[0].value, axis=1))
+    z_target = outputs[1].value
 
     supervision = LabelField(np.where(selected.values, labels_all.values, IGNORE))
     if cfg.use_ggf:
@@ -175,13 +192,11 @@ def adapt_frame(state: AdaptationState, frame: Frame):
             )
 
     del index  # frees the cached neighbourhood before the loss, the frame's memory peak
-    for _ in range(cfg.steps_per_frame):
-        _, grads, _ = total_loss_and_grad(
-            state.target_params, feats, supervision, scores, cfg.beta_hat,
-            temporal=temporal_batch)
-        state.target_params, state.optimizer = adam_step(
-            state.target_params, grads, state.optimizer, lr=cfg.lr, wd=cfg.wd,
-            eps=cfg.eps)
+    _, grads, _ = loss_and_grad(leaves, outputs, supervision, scores, cfg.beta_hat,
+                                temporal_batch)
+    state.target_params, state.optimizer = adam_step(
+        state.target_params, grads, state.optimizer, lr=cfg.lr, wd=cfg.wd,
+        eps=cfg.eps)
 
     state.ring_buffer.append(_BufferEntry(frame, feats, scores.values.copy()))
     while len(state.ring_buffer) > cfg.window:
@@ -268,8 +283,6 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
                     np.zeros(num_classes, dtype=np.int64))
 
     if dump_dir is not None:
-        from pathlib import Path
-        from .stream import write_label_file
         Path(dump_dir).mkdir(parents=True, exist_ok=True)
 
     for frame in frames:
@@ -282,7 +295,6 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
         elapsed = time.perf_counter() - start
 
         if dump_dir is not None:
-            from pathlib import Path
             write_label_file(Path(dump_dir) / f"{frame.frame_id:06d}.label",
                              eval_pred.values)
 

@@ -228,17 +228,14 @@ def soft_dice_loss(probs: ProbabilityField, targets: LabelField, s: ConfidenceFi
     return loss, grad
 
 
-def dice_term(leaves, features, targets: LabelField, s: ConfidenceField, beta_hat: float):
-    """Graph-level soft Dice term; returns (loss tensor or None, parts)."""
-    t, mask = smooth_targets(targets, s, beta_hat, leaves["classifier_w"].value.shape[1])
-    m = int(mask.sum())
-    probs_t, z_t, _ = forward_graph(leaves, features)
-    if m == 0:
-        return None, z_t
+def dice_term(probs_t, targets: LabelField, s: ConfidenceField, beta_hat: float):
+    """Graph-level soft Dice term on built probabilities; None when all IGNORE."""
+    t, mask = smooth_targets(targets, s, beta_hat, probs_t.value.shape[1])
     sup = np.nonzero(mask)[0]
+    if len(sup) == 0:
+        return None
     dots = ad.rows_dot(ad.gather_rows(probs_t, sup), ad.Tensor(t[sup]))
-    loss = ad.sub(ad.Tensor(1.0), ad.mean_all(dots))
-    return loss, z_t
+    return ad.sub(ad.Tensor(1.0), ad.mean_all(dots))
 
 
 @dataclass
@@ -288,29 +285,25 @@ class TemporalBatch:
     confidence_weighted: bool = True
 
 
-def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
-                        s: ConfidenceField, beta_hat: float = 0.3,
-                        temporal: TemporalBatch | None = None,
-                        dice_on: bool = True):
-    """L_final = L_dice + L_reg with reverse-mode gradients for every parameter.
+def loss_and_grad(leaves, outputs, targets: LabelField, s: ConfidenceField,
+                  beta_hat: float, temporal: TemporalBatch | None):
+    """L_final = L_dice + L_reg on a built graph, with gradients for every leaf.
 
-    Toggled-off terms contribute exactly zero. Returns (loss, grads dict,
-    (dice value, regularization value)).
+    `outputs` is `forward_graph(leaves, features)`. IGNORE targets and an
+    absent temporal batch contribute exactly zero. Returns (loss, grads
+    dict, (dice value, regularization value)).
     """
     from . import temporal as temporal_mod  # deferred: temporal imports this module
 
-    leaves = make_leaves(params)
+    probs_t, z_t, _ = outputs
     terms = []
     dice_value = 0.0
     reg_value = 0.0
 
-    if dice_on:
-        loss_t, z_t = dice_term(leaves, features, targets, s, beta_hat)
-        if loss_t is not None:
-            terms.append(loss_t)
-            dice_value = float(loss_t.value)
-    else:
-        _, z_t, _ = forward_graph(leaves, features)
+    loss_t = dice_term(probs_t, targets, s, beta_hat)
+    if loss_t is not None:
+        terms.append(loss_t)
+        dice_value = float(loss_t.value)
 
     if temporal is not None and len(temporal.idx_t):
         reg_t = temporal_mod.temporal_term(leaves, z_t, temporal)
@@ -318,7 +311,7 @@ def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
             terms.append(reg_t)
             reg_value = float(reg_t.value)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+    grads = {name: np.zeros_like(leaf.value) for name, leaf in leaves.items()}
     if not terms:
         return 0.0, grads, (0.0, 0.0)
     total = terms[0]
@@ -329,6 +322,15 @@ def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
         if leaves[name].grad is not None:
             grads[name] = leaves[name].grad
     return float(total.value), grads, (dice_value, reg_value)
+
+
+def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
+                        s: ConfidenceField, beta_hat: float = 0.3,
+                        temporal: TemporalBatch | None = None):
+    """`loss_and_grad` on a fresh graph of `params` over `features`."""
+    leaves = make_leaves(params)
+    return loss_and_grad(leaves, forward_graph(leaves, features), targets, s,
+                         beta_hat, temporal)
 
 
 _HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",
@@ -387,14 +389,12 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
             # the shared trunk at adaptation time
             noisy = frame.points + rng.normal(0.0, _WARMUP_JITTER,
                                               frame.points.shape)
-            gt = frame.gt_labels
             if keep_frac < 1.0:
                 keep = rng.uniform(size=len(noisy)) < keep_frac
                 if keep.sum() < 32:
                     keep[:] = True
                 noisy = noisy[keep]
-                gt = None if gt is None else gt[keep]
-            return Frame(frame.frame_id, noisy, frame.pose, gt)
+            return Frame(frame.frame_id, noisy, frame.pose)
 
         rng = np.random.default_rng([seed, 0xA11])
         head_state = OptimizerState.init(params)
@@ -414,9 +414,9 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                         s_t=np.ones(frame_t.num_points),
                         s_prev=np.ones(frame_prev.num_points))
                     _, grads, _ = total_loss_and_grad(
-                        params, feats[t], LabelField(frame_t.gt_labels),
+                        params, feats[t], LabelField(np.full(frame_t.num_points, IGNORE)),
                         ConfidenceField(np.ones(frame_t.num_points)),
-                        beta_hat, temporal=batch, dice_on=False)
+                        beta_hat, temporal=batch)
                     for name in grads:
                         if name not in _HEAD_NAMES:
                             grads[name][...] = 0.0

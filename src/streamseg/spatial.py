@@ -141,10 +141,6 @@ class CorrespondenceSet:
     def __len__(self):
         return len(self.idx_t)
 
-    @property
-    def pairs(self):
-        return list(zip(self.idx_t.tolist(), self.idx_prev.tolist(), self.dist.tolist()))
-
 
 def relative_transform(pose_t, pose_prev) -> np.ndarray:
     """Rigid transform taking frame_prev sensor coordinates into frame t's."""

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .errors import DegenerateVector
-from .model import NetworkParams, TemporalBatch
+from .model import TemporalBatch
 
 _NORM_EPS = 1e-12
 
@@ -73,42 +73,3 @@ def temporal_term(leaves, z_t, batch: TemporalBatch):
     fwd = ad.mul(ad.Tensor(w_fwd), ad.rows_dot(qn_t, zn_prev))
     bwd = ad.mul(ad.Tensor(w_bwd), ad.rows_dot(qn_prev, zn_t))
     return ad.neg(ad.mean_all(ad.scale(ad.add(fwd, bwd), 0.5)))
-
-
-def temporal_loss(params: NetworkParams, features_t, features_prev, pairs,
-                  s_t, s_prev, confidence_weighted: bool = True):
-    """Standalone symmetric consistency loss with parameter gradients.
-
-    `pairs` is a CorrespondenceSet; empty input gives zero loss and zero
-    gradients. Returns (loss, grads dict, number of pairs skipped as
-    degenerate).
-    """
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    if len(pairs) == 0:
-        return 0.0, grads, 0
-
-    batch = TemporalBatch(
-        features_prev=np.asarray(features_prev, dtype=np.float64),
-        idx_t=np.asarray(pairs.idx_t, dtype=np.int64),
-        idx_prev=np.asarray(pairs.idx_prev, dtype=np.int64),
-        s_t=np.asarray(s_t, dtype=np.float64),
-        s_prev=np.asarray(s_prev, dtype=np.float64),
-        confidence_weighted=confidence_weighted,
-    )
-    leaves = model_mod.make_leaves(params)
-    _, z_t, _ = model_mod.forward_graph(leaves, np.asarray(features_t, dtype=np.float64))
-    loss_t = temporal_term(leaves, z_t, batch)
-    if loss_t is None:
-        return 0.0, grads, len(pairs)
-
-    e_t, q_t = model_mod.heads(params, z_t.value)
-    probs = model_mod.forward(params, batch.features_prev)
-    e_prev, q_prev = model_mod.heads(params, probs[1])
-    skipped = int((~_valid_pair_mask(e_t, q_t, e_prev, q_prev,
-                                     batch.idx_t, batch.idx_prev)).sum())
-
-    ad.backward(loss_t)
-    for name in grads:
-        if leaves[name].grad is not None:
-            grads[name] = leaves[name].grad
-    return float(loss_t.value), grads, skipped

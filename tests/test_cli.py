@@ -90,6 +90,12 @@ class TestPipeline:
                        "--checkpoint", str(pipeline / "ckpt.bin"), "--continual"])
         assert rc == 0
 
+    def test_invalid_config_is_an_error_line(self, pipeline, capsys):
+        rc = cli.main(["adapt", str(pipeline / "seq"),
+                       "--checkpoint", str(pipeline / "ckpt.bin"), "--window", "0"])
+        assert rc == 1
+        assert "error: window" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     def test_missing_sequence_dir(self, tmp_path, capsys):
@@ -110,6 +116,15 @@ class TestErrorPaths:
         a.mkdir(), b.mkdir()
         stream.write_label_file(a / "000000.label", np.zeros(3, dtype=np.int64))
         assert cli.main(["eval", str(a), str(b)]) == 1
+
+    def test_eval_length_mismatch_names_the_frame(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        stream.write_label_file(pred / "000004.label", np.zeros(3, dtype=np.int64))
+        stream.write_label_file(gt / "000004.label", np.zeros(5, dtype=np.int64))
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        assert "error: frame 000004" in capsys.readouterr().err
 
     def test_eval_pairs_files_by_stem(self, tmp_path, capsys):
         pred = tmp_path / "pred"

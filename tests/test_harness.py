@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from streamseg.core import ClassMap, IGNORE, LabelField
-from streamseg.errors import CheckpointMismatch, LengthMismatch
+from streamseg.errors import CheckpointMismatch, ConfigInvalid, LengthMismatch
 from streamseg import harness, model, spatial, stream
 
 
@@ -66,6 +66,9 @@ class TestIouMetrics:
         with pytest.raises(LengthMismatch):
             harness.evaluate_iou(LabelField(np.zeros(2, dtype=np.int64)),
                                  LabelField(np.zeros(3, dtype=np.int64)), 2)
+        with pytest.raises(LengthMismatch, match="3 labels.*5"):
+            harness.confusion_matrix(LabelField(np.zeros(3, dtype=np.int64)),
+                                     LabelField(np.zeros(5, dtype=np.int64)), 2)
 
     def test_confusion_accumulates_over_frames(self):
         gt = LabelField(np.array([0, 1]))
@@ -74,6 +77,18 @@ class TestIouMetrics:
         total = harness._accumulate(one, one)
         iou, _ = harness.iou_from_confusion(total)
         np.testing.assert_allclose(iou, [2 / 4, 0.0])
+
+
+class TestAdaptConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("window", 0), ("k", -1), ("k_feat", 2), ("lam", 100.0), ("tau", 0.0), ("eps", 0.0),
+    ])
+    def test_invalid_value_rejected_up_front(self, field, value):
+        with pytest.raises(ConfigInvalid, match=f"^{field} "):
+            harness.AdaptConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        harness.AdaptConfig(window=1, k=0, k_feat=3, lam=0.0)
 
 
 class TestAdaptFrame:
@@ -180,9 +195,9 @@ class TestRunTta:
 
         harness.run_tta(Frames(), tiny_params(), cfg)
         # the last frame has temporal pairs: one self-query plus one match;
-        # target eval, source, loss and previous-frame forwards
+        # source, target (eval, prototypes and loss) and previous-frame forwards
         assert per_frame[-1].count("knn") == 2
-        assert per_frame[-1].count("forward") == 4
+        assert per_frame[-1].count("forward") == 3
 
     def test_class_count_mismatch(self):
         frames = tiny_stream(2)

@@ -153,8 +153,8 @@ class TestTotalLossGradcheck:
         rng = np.random.default_rng(6)
         params = random_params()
         loss, grads, parts = model.total_loss_and_grad(
-            params, rng.normal(size=(5, 9)), LabelField(np.zeros(5, dtype=np.int64)),
-            ConfidenceField(np.ones(5)), dice_on=False)
+            params, rng.normal(size=(5, 9)), LabelField(np.full(5, IGNORE)),
+            ConfidenceField(np.ones(5)))
         assert loss == 0.0 and parts == (0.0, 0.0)
         assert all(np.all(g == 0) for g in grads.values())
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from streamseg.core import ConfidenceField, LabelField
+from streamseg.core import IGNORE, ConfidenceField, LabelField
 from streamseg.errors import DegenerateVector
 from streamseg import model, temporal
 from streamseg.spatial import CorrespondenceSet
@@ -12,6 +12,17 @@ from streamseg.spatial import CorrespondenceSet
 def make_pairs(n):
     idx = np.arange(n, dtype=np.int64)
     return CorrespondenceSet(idx, idx, np.zeros(n))
+
+
+def consistency_loss(params, feats_t, feats_prev, pairs, s_t, s_prev,
+                     confidence_weighted=True):
+    """The consistency term alone: the total loss with all-IGNORE targets."""
+    n = len(feats_t)
+    batch = model.TemporalBatch(features_prev=feats_prev, idx_t=pairs.idx_t,
+                                idx_prev=pairs.idx_prev, s_t=s_t, s_prev=s_prev,
+                                confidence_weighted=confidence_weighted)
+    return model.total_loss_and_grad(params, feats_t, LabelField(np.full(n, IGNORE)),
+                                     ConfidenceField(np.ones(n)), temporal=batch)
 
 
 def setup_case(seed=0, n=16, num_classes=4):
@@ -43,18 +54,18 @@ class TestNegativeCosine:
 class TestTemporalLoss:
     def test_empty_pairs_zero(self):
         params, feats_t, feats_prev, s = setup_case()
-        loss, grads, skipped = temporal.temporal_loss(
+        loss, grads, _ = consistency_loss(
             params, feats_t, feats_prev, make_pairs(0), s, s)
-        assert loss == 0.0 and skipped == 0
+        assert loss == 0.0
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_value_matches_scalar_reference(self):
         # identical frames, unit weights: loss = -mean(cos(q_i, z_i))
         params, feats_t, _, _ = setup_case(seed=1)
         ones = np.ones(len(feats_t))
-        loss, _, _ = temporal.temporal_loss(params, feats_t, feats_t,
-                                            make_pairs(len(feats_t)), ones, ones,
-                                            confidence_weighted=False)
+        loss, _, _ = consistency_loss(params, feats_t, feats_t,
+                                      make_pairs(len(feats_t)), ones, ones,
+                                      confidence_weighted=False)
         _, z, _ = model.forward(params, feats_t)
         e, q = model.heads(params, z)
         ref = np.mean([temporal.negative_cosine(q[i], e[i]) for i in range(len(q))])
@@ -65,25 +76,25 @@ class TestTemporalLoss:
         n = len(feats_t)
         half = np.full(n, 0.5)
         ones = np.ones(n)
-        la, _, _ = temporal.temporal_loss(params, feats_t, feats_t, make_pairs(n),
-                                          ones, ones)
-        lb, _, _ = temporal.temporal_loss(params, feats_t, feats_t, make_pairs(n),
-                                          half, half)
+        la, _, _ = consistency_loss(params, feats_t, feats_t, make_pairs(n),
+                                    ones, ones)
+        lb, _, _ = consistency_loss(params, feats_t, feats_t, make_pairs(n),
+                                    half, half)
         assert lb == pytest.approx(0.5 * la, abs=1e-12)
 
     def test_zero_confidence_means_zero_grads(self):
         params, feats_t, feats_prev, _ = setup_case(seed=3)
         n = len(feats_t)
         zero = np.zeros(n)
-        loss, grads, _ = temporal.temporal_loss(params, feats_t, feats_prev,
-                                                make_pairs(n), zero, zero)
+        loss, grads, _ = consistency_loss(params, feats_t, feats_prev,
+                                          make_pairs(n), zero, zero)
         assert loss == 0.0
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
     def test_classifier_gets_no_gradient(self):
         params, feats_t, feats_prev, s = setup_case(seed=4)
-        _, grads, _ = temporal.temporal_loss(params, feats_t, feats_prev,
-                                             make_pairs(len(feats_t)), s, s)
+        _, grads, _ = consistency_loss(params, feats_t, feats_prev,
+                                       make_pairs(len(feats_t)), s, s)
         np.testing.assert_array_equal(grads["classifier_w"], 0.0)
         np.testing.assert_array_equal(grads["classifier_b"], 0.0)
         # but the trunk does receive gradient through the predictor branch
@@ -94,7 +105,7 @@ class TestTemporalLoss:
         # so plain finite differences are exact for them
         params, feats_t, feats_prev, s = setup_case(seed=5, n=10)
         pairs = make_pairs(10)
-        _, grads, _ = temporal.temporal_loss(params, feats_t, feats_prev, pairs, s, s)
+        _, grads, _ = consistency_loss(params, feats_t, feats_prev, pairs, s, s)
         eps = 1e-6
         rng = np.random.default_rng(0)
         for name in ("pred1_w", "pred2_w", "pred1_b", "pred2_b"):
@@ -102,9 +113,9 @@ class TestTemporalLoss:
             for j in rng.choice(flat.size, size=min(6, flat.size), replace=False):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up, _, _ = temporal.temporal_loss(params, feats_t, feats_prev, pairs, s, s)
+                up, _, _ = consistency_loss(params, feats_t, feats_prev, pairs, s, s)
                 flat[j] = orig - eps
-                dn, _, _ = temporal.temporal_loss(params, feats_t, feats_prev, pairs, s, s)
+                dn, _, _ = consistency_loss(params, feats_t, feats_prev, pairs, s, s)
                 flat[j] = orig
                 fd = (up - dn) / (2 * eps)
                 assert grads[name].reshape(-1)[j] == pytest.approx(fd, abs=2e-6), name
@@ -114,7 +125,7 @@ class TestTemporalLoss:
         # differ from the naive finite difference of the value
         params, feats_t, feats_prev, s = setup_case(seed=6, n=10)
         pairs = make_pairs(10)
-        _, grads, _ = temporal.temporal_loss(params, feats_t, feats_prev, pairs, s, s)
+        _, grads, _ = consistency_loss(params, feats_t, feats_prev, pairs, s, s)
         name = "enc2_w"
         flat = params.tensors[name].reshape(-1)
         eps = 1e-6
@@ -122,9 +133,9 @@ class TestTemporalLoss:
         for j in range(8):
             orig = flat[j]
             flat[j] = orig + eps
-            up, _, _ = temporal.temporal_loss(params, feats_t, feats_prev, pairs, s, s)
+            up, _, _ = consistency_loss(params, feats_t, feats_prev, pairs, s, s)
             flat[j] = orig - eps
-            dn, _, _ = temporal.temporal_loss(params, feats_t, feats_prev, pairs, s, s)
+            dn, _, _ = consistency_loss(params, feats_t, feats_prev, pairs, s, s)
             flat[j] = orig
             fd = (up - dn) / (2 * eps)
             if abs(grads[name].reshape(-1)[j] - fd) > 1e-7:
@@ -134,8 +145,8 @@ class TestTemporalLoss:
     def test_loss_bounded_by_weights(self):
         params, feats_t, feats_prev, s = setup_case(seed=7)
         n = len(feats_t)
-        loss, _, _ = temporal.temporal_loss(params, feats_t, feats_prev,
-                                            make_pairs(n), s, s)
+        loss, _, _ = consistency_loss(params, feats_t, feats_prev,
+                                      make_pairs(n), s, s)
         # each direction is a weighted cosine in [-1, 1]
         assert abs(loss) <= 1.0 + 1e-12
 
