@@ -8,10 +8,7 @@ cumulative mIoU and the improvement over the frozen source model.
 Runtime: ~10 minutes on one core (five full adaptation runs).
 """
 
-import numpy as np
-
 from streamseg import harness, model, stream
-from streamseg.core import Frame
 
 FRAMES = 100
 
@@ -19,12 +16,10 @@ FRAMES = 100
 def main():
     scene = stream.SceneConfig(seed=7, frames=25)
     source = stream.generate_sequence(scene, stream.ShiftConfig())
-    rng = np.random.default_rng([0, 0xAA6])
-    augmented = [Frame(f.frame_id, f.points + rng.normal(0, 0.05, f.points.shape),
-                       f.pose, f.gt_labels) for f in source]
+    sequences = [source] + stream.jittered_copies([source], 0.05, seed=0)
     print("pretraining source model...")
     params, _ = model.pretrain_source(
-        [source, augmented], epochs=20, seed=0,
+        sequences, epochs=20, seed=0,
         feature_fn=lambda f: harness.frame_features(f, 20)[1],
         num_classes=7, head_epochs=9)
 

@@ -8,10 +8,7 @@ while adapting online. Prints the per-class report of both runs.
 Runtime: a few minutes on one core.
 """
 
-import numpy as np
-
 from streamseg import harness, model, stream
-from streamseg.core import Frame
 
 SCENE_SEED = 7
 SOURCE_FRAMES = 25
@@ -29,13 +26,11 @@ def main():
 
     # a jittered copy of the training pass makes the backbone tolerant to
     # the sensor noise it will meet at test time
-    rng = np.random.default_rng([0, 0xAA6])
-    augmented = [Frame(f.frame_id, f.points + rng.normal(0, 0.05, f.points.shape),
-                       f.pose, f.gt_labels) for f in source]
+    sequences = [source] + stream.jittered_copies([source], 0.05, seed=0)
 
     print("pretraining source model (20 epochs)...")
     params, history = model.pretrain_source(
-        [source, augmented], epochs=20, seed=0, feature_fn=feature_fn,
+        sequences, epochs=20, seed=0, feature_fn=feature_fn,
         num_classes=7, head_epochs=9)
     print(f"  epoch loss {history[0]:.4f} -> {history[-1]:.4f}")
 

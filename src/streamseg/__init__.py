@@ -12,18 +12,18 @@ from .core import (
     remap_labels,
     validate_frame,
 )
-from .harness import AdaptConfig, AdaptationState, RunReport, adapt_frame, evaluate_iou, run_tta
+from .harness import AdaptConfig, AdaptationState, RunReport, adapt_frame, run_tta
 from .model import NetworkParams, OptimizerState
 from .prototypes import PrototypeBank
-from .spatial import SpatialIndex, build_index, knn, match_correspondences
+from .spatial import SpatialIndex, build_index, match_correspondences
 from .stream import SceneConfig, ShiftConfig, generate_sequence, read_sequence, write_sequence
 
 __all__ = [
     "CANONICAL_CLASSES", "IGNORE", "ClassMap", "ConfidenceField", "Frame",
     "LabelField", "ProbabilityField", "SelectionMask", "remap_labels",
     "validate_frame", "AdaptConfig", "AdaptationState", "RunReport",
-    "adapt_frame", "evaluate_iou", "run_tta", "NetworkParams", "OptimizerState",
-    "PrototypeBank", "SpatialIndex", "build_index", "knn",
+    "adapt_frame", "run_tta", "NetworkParams", "OptimizerState",
+    "PrototypeBank", "SpatialIndex", "build_index",
     "match_correspondences", "SceneConfig", "ShiftConfig", "generate_sequence",
     "read_sequence", "write_sequence",
 ]

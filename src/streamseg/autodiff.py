@@ -19,10 +19,6 @@ class Tensor:
         self.parents = parents
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -117,11 +113,6 @@ def gather_rows(a, idx) -> Tensor:
         return (out,)
 
     return Tensor(a.value[idx], (a,), bw)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
 def mean_all(a) -> Tensor:

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import harness, model, spatial, stream
+from . import harness, model, stream
 from .core import ClassMap, LabelField, remap_labels
 from .errors import LengthMismatch, StreamSegError
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
-    p.add_argument("--k", type=int, default=10, help="K-NN size for label aggregation")
+    p.add_argument("--k", type=int, default=10,
+                   help="K-NN size for label aggregation (0 disables it)")
     p.add_argument("--lambda", dest="lam", type=float, default=70.0,
                    help="per-class selection percentile")
     p.add_argument("--alpha", type=float, default=0.99, help="prototype EMA factor")
@@ -26,20 +28,23 @@ def _add_adapt_flags(p: argparse.ArgumentParser):
                    help="Adam denominator floor during adaptation")
     p.add_argument("--beta-hat", type=float, default=0.3, help="label smoothing ceiling")
     p.add_argument("--k-feat", type=int, default=20, help="feature neighborhood size")
-    p.add_argument("--no-lgl", action="store_true", help="disable local label aggregation")
-    p.add_argument("--no-ggf", action="store_true", help="disable prototype fine-tuning")
-    p.add_argument("--no-tgr", action="store_true", help="disable temporal consistency")
-    p.add_argument("--no-cw", action="store_true", help="unweighted temporal loss")
-    p.add_argument("--no-alg", action="store_true", help="fuse only the selected subset")
+
+
+def _add_module_switches(p: argparse.ArgumentParser):
+    p.add_argument("--no-ggf", dest="use_ggf", action="store_false",
+                   help="disable prototype fine-tuning")
+    p.add_argument("--no-tgr", dest="use_tgr", action="store_false",
+                   help="disable temporal consistency")
+    p.add_argument("--no-cw", dest="use_cw", action="store_false",
+                   help="unweighted temporal loss")
+    p.add_argument("--no-alg", dest="use_alg", action="store_false",
+                   help="fuse only the selected subset")
 
 
 def _config_from_args(args) -> harness.AdaptConfig:
-    return harness.AdaptConfig(
-        k=args.k, lam=args.lam, alpha=args.alpha, window=args.window, tau=args.tau,
-        lr=args.lr, wd=args.wd, eps=args.eps, beta_hat=args.beta_hat, k_feat=args.k_feat,
-        use_lgl=not args.no_lgl, use_ggf=not args.no_ggf, use_tgr=not args.no_tgr,
-        use_cw=not args.no_cw, use_alg=not args.no_alg,
-    )
+    """AdaptConfig from the parsed flags, whose dests are its field names."""
+    return harness.AdaptConfig(**{f.name: getattr(args, f.name)
+                                  for f in fields(harness.AdaptConfig) if f.name in args})
 
 
 def _load_class_map(path) -> ClassMap | None:
@@ -60,12 +65,7 @@ def cmd_generate(args) -> int:
 def cmd_pretrain(args) -> int:
     sequences = [stream.read_sequence(d) for d in args.sequences]
     if args.jitter_aug > 0:
-        from .core import Frame
-        rng = np.random.default_rng([args.seed, 0xAA6])
-        sequences += [[Frame(f.frame_id,
-                             f.points + rng.normal(0, args.jitter_aug, f.points.shape),
-                             f.pose, f.gt_labels) for f in seq]
-                      for seq in sequences]
+        sequences += stream.jittered_copies(sequences, args.jitter_aug, args.seed)
 
     def feature_fn(frame):
         return harness.frame_features(frame, args.k_feat)[1]
@@ -121,17 +121,14 @@ def cmd_eval(args) -> int:
         return 1
     if class_map is None:
         class_map = ClassMap.canonical()
-    num_classes = class_map.num_classes
-    total = (np.zeros((num_classes, num_classes), dtype=np.int64),
-             np.zeros(num_classes, dtype=np.int64))
+    total = harness.empty_confusion(class_map.num_classes)
     for stem in sorted(pred_files):
         pred = LabelField(stream.read_label_file(pred_files[stem]))
         gt = remap_labels(stream.read_label_file(gt_files[stem]), class_map)
         try:
-            cm = harness.confusion_matrix(pred, gt, num_classes)
+            total, _ = harness.accumulate_confusion(total, pred, gt)
         except LengthMismatch as e:
             raise LengthMismatch(f"frame {stem}: {e}") from e
-        total = harness._accumulate(total, cm)
     iou, miou = harness.iou_from_confusion(total)
     width = max(len(n) for n in class_map.canonical_names)
     for name, value in zip(class_map.canonical_names, iou):
@@ -190,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--continual", action="store_true",
                    help="carry state across sequences without reset")
     _add_adapt_flags(p)
+    _add_module_switches(p)
     p.set_defaults(fn=cmd_adapt)
 
     p = sub.add_parser("eval", help="score dumped predictions against ground truth")

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     EmptyFrame,
     InvalidPose,
+    IoFailure,
     LengthMismatch,
     NonFiniteCoordinate,
     UnknownRawId,
@@ -32,31 +34,6 @@ CANONICAL_CLASSES = (
     "manmade",
     "vegetation",
 )
-
-#: SemanticKITTI raw label id -> canonical id (or IGNORE).
-SEMANTIC_KITTI_TO_CANONICAL = {
-    0: IGNORE,   # unlabelled
-    1: 0,        # car -> vehicle
-    2: IGNORE,   # bicycle
-    3: IGNORE,   # motorcycle
-    4: IGNORE,   # truck
-    5: IGNORE,   # other-vehicle
-    6: 1,        # person -> pedestrian
-    7: IGNORE,   # bicyclist
-    8: IGNORE,   # motorcyclist
-    9: 2,        # road
-    10: 2,       # parking -> road
-    11: 3,       # sidewalk
-    12: IGNORE,  # other-ground
-    13: 5,       # building -> manmade
-    14: 5,       # fence -> manmade
-    15: 6,       # vegetation
-    16: 6,       # trunk -> vegetation
-    17: 4,       # terrain
-    18: 5,       # pole -> manmade
-    19: 5,       # traffic-sign -> manmade
-}
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
@@ -129,10 +106,6 @@ class ProbabilityField:
     def __len__(self):
         return self.values.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class LabelField:
@@ -198,7 +171,7 @@ class ClassMap:
         c = self.num_classes
         for raw, canon in self.raw_to_canonical.items():
             if canon != IGNORE and not (0 <= canon < c):
-                raise ValueError(f"raw id {raw} maps to out-of-range canonical id {canon}")
+                raise ConfigInvalid(f"raw id {raw} maps to out-of-range canonical id {canon}")
 
     @property
     def num_classes(self) -> int:
@@ -216,26 +189,28 @@ class ClassMap:
         return cls(CANONICAL_CLASSES, {i: i for i in range(len(CANONICAL_CLASSES))})
 
     @classmethod
-    def semantic_kitti(cls) -> "ClassMap":
-        return cls(CANONICAL_CLASSES, dict(SEMANTIC_KITTI_TO_CANONICAL))
-
-    @classmethod
     def from_file(cls, path, canonical_names=CANONICAL_CLASSES) -> "ClassMap":
         """Load a plain-text two-column table "raw_id canonical_id".
 
-        IGNORE is spelled as -1; lines starting with '#' are comments.
+        IGNORE is spelled as -1; lines starting with '#' are comments. A
+        malformed table raises ConfigInvalid naming the line.
         """
+        try:
+            text = Path(path).read_text()
+        except OSError as e:
+            raise IoFailure(str(e)) from e
         table = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'raw_id canonical_id'")
-            raw, canon = int(parts[0]), int(parts[1])
+            try:
+                raw, canon = map(int, line.split())
+            except ValueError:
+                raise ConfigInvalid(f"{path}:{lineno}: expected 'raw_id canonical_id', "
+                                    f"got {line!r}") from None
             if raw in table:
-                raise ValueError(f"{path}:{lineno}: raw id {raw} mapped twice")
+                raise ConfigInvalid(f"{path}:{lineno}: raw id {raw} mapped twice")
             table[raw] = canon
         return cls(tuple(canonical_names), table)
 

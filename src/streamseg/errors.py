@@ -41,13 +41,9 @@ class KTooLarge(StreamSegError):
     pass
 
 
-# -- prototypes / temporal ---------------------------------------------------
+# -- prototypes -------------------------------------------------------------
 
 class NoSeenClasses(StreamSegError):
-    pass
-
-
-class DegenerateVector(StreamSegError):
     pass
 
 

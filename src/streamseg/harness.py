@@ -46,7 +46,6 @@ class AdaptConfig:
     eps: float = 3e-3           # Adam denominator floor; damps near-zero-gradient drift
     beta_hat: float = 0.3       # label smoothing ceiling
     k_feat: int = 20            # neighborhood size for geometric features
-    use_lgl: bool = True
     use_ggf: bool = True
     use_tgr: bool = True
     use_cw: bool = True
@@ -95,14 +94,6 @@ class AdaptationState:
         )
 
 
-def evaluate_iou(pred: LabelField, gt: LabelField, num_classes: int):
-    """Per-class IoU and mIoU; gt IGNORE points are excluded everywhere.
-
-    Classes with zero union get NaN and are excluded from the mean.
-    """
-    return iou_from_confusion(confusion_matrix(pred, gt, num_classes))
-
-
 def confusion_matrix(pred: LabelField, gt: LabelField, num_classes: int) -> np.ndarray:
     if len(pred) != len(gt):
         raise LengthMismatch(
@@ -116,6 +107,18 @@ def confusion_matrix(pred: LabelField, gt: LabelField, num_classes: int) -> np.n
     # IGNORE predictions still count as misses for their gt class
     miss = np.bincount(g[~valid], minlength=num_classes)
     return conf, miss
+
+
+def empty_confusion(num_classes: int):
+    """Zero (conf, miss) counts: the start of a running total."""
+    return (np.zeros((num_classes, num_classes), dtype=np.int64),
+            np.zeros(num_classes, dtype=np.int64))
+
+
+def accumulate_confusion(total, pred: LabelField, gt: LabelField):
+    """(total plus one frame's (conf, miss) counts, the frame's counts)."""
+    frame = confusion_matrix(pred, gt, total[0].shape[0])
+    return (total[0] + frame[0], total[1] + frame[1]), frame
 
 
 def iou_from_confusion(conf_miss):
@@ -152,13 +155,12 @@ def adapt_frame(state: AdaptationState, frame: Frame):
 
     index, feats = frame_features(frame, cfg.k_feat)
 
-    # local pseudo-labels from the frozen source model; disabling the local
-    # module degrades to plain argmax with entropy-only ranking (K = 0)
+    # local pseudo-labels from the frozen source model; k = 0 switches the
+    # local module off: plain argmax with entropy-only ranking
     source_probs, _, _ = forward(state.source_params, feats)
     source_pred = LabelField(np.argmax(source_probs.values, axis=1))
-    k_eff = cfg.k if cfg.use_lgl else 0
     labels_all, scores, selected = local_labels.run_lgl(
-        source_probs, index, k_eff, cfg.lam, num_classes)
+        source_probs, index, cfg.k, cfg.lam, num_classes)
 
     # one graph of the target model serves the evaluation, the prototypes and the loss
     leaves = make_leaves(state.target_params)
@@ -250,12 +252,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _accumulate(total, update):
-    conf, miss = total
-    c2, m2 = update
-    return conf + c2, miss + m2
-
-
 def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
             class_map: ClassMap | None = None, dump_dir=None,
             state: AdaptationState | None = None):
@@ -277,10 +273,7 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
     state.config = config
 
     frame_ids, per_iou, per_miou, times = [], [], [], []
-    total = (np.zeros((num_classes, num_classes), dtype=np.int64),
-             np.zeros(num_classes, dtype=np.int64))
-    source_total = (np.zeros((num_classes, num_classes), dtype=np.int64),
-                    np.zeros(num_classes, dtype=np.int64))
+    total, source_total = empty_confusion(num_classes), empty_confusion(num_classes)
 
     if dump_dir is not None:
         Path(dump_dir).mkdir(parents=True, exist_ok=True)
@@ -299,11 +292,9 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
                              eval_pred.values)
 
         if gt is not None:
-            cm = confusion_matrix(eval_pred, gt, num_classes)
-            total = _accumulate(total, cm)
-            iou, miou = iou_from_confusion(cm)
-            source_total = _accumulate(source_total,
-                                       confusion_matrix(source_pred, gt, num_classes))
+            total, frame_counts = accumulate_confusion(total, eval_pred, gt)
+            iou, miou = iou_from_confusion(frame_counts)
+            source_total, _ = accumulate_confusion(source_total, source_pred, gt)
         else:
             iou = np.full(num_classes, np.nan)
             miou = float("nan")
@@ -331,11 +322,11 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
 
 #: Cumulative build-up of the ablation grid: each row enables one more piece.
 ABLATION_LADDER = (
-    ("local", dict(use_lgl=True, use_tgr=False, use_ggf=False, use_cw=False, use_alg=False)),
-    ("+temporal", dict(use_lgl=True, use_tgr=True, use_ggf=False, use_cw=False, use_alg=False)),
-    ("+prototypes", dict(use_lgl=True, use_tgr=True, use_ggf=True, use_cw=False, use_alg=False)),
-    ("+conf-weight", dict(use_lgl=True, use_tgr=True, use_ggf=True, use_cw=True, use_alg=False)),
-    ("full", dict(use_lgl=True, use_tgr=True, use_ggf=True, use_cw=True, use_alg=True)),
+    ("local", dict(use_tgr=False, use_ggf=False, use_cw=False, use_alg=False)),
+    ("+temporal", dict(use_tgr=True, use_ggf=False, use_cw=False, use_alg=False)),
+    ("+prototypes", dict(use_tgr=True, use_ggf=True, use_cw=False, use_alg=False)),
+    ("+conf-weight", dict(use_tgr=True, use_ggf=True, use_cw=True, use_alg=False)),
+    ("full", dict(use_tgr=True, use_ggf=True, use_cw=True, use_alg=True)),
 )
 
 

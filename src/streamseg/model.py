@@ -15,14 +15,14 @@ snapshot. Checkpoints are flat binary records with magic "HGL1".
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField
-from .errors import CheckpointMismatch, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
+from .errors import IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 
 _MAGIC = b"HGL1"
 
@@ -181,12 +181,6 @@ def forward(params: NetworkParams, features):
     return ProbabilityField(np.clip(probs_t.value, 0.0, 1.0)), z_t.value, logits_t.value
 
 
-def heads(params: NetworkParams, z):
-    """Numpy evaluation of the encoder/predictor heads."""
-    e_t, q_t = heads_graph(make_leaves(params), ad.Tensor(z))
-    return e_t.value, q_t.value
-
-
 def smooth_targets(targets: LabelField, s: ConfidenceField, beta_hat: float, num_classes: int):
     """Adaptive label smoothing: beta_i = beta_hat * (1 - S_i).
 
@@ -201,31 +195,6 @@ def smooth_targets(targets: LabelField, s: ConfidenceField, beta_hat: float, num
     out[sup] = (beta[sup] / num_classes)[:, None]
     out[sup, labels[sup]] += 1.0 - beta[sup]
     return out, mask
-
-
-def soft_dice_loss(probs: ProbabilityField, targets: LabelField, s: ConfidenceField,
-                   beta_hat: float = 0.3):
-    """Per-point soft Dice against adaptively smoothed targets.
-
-    Both the softmax row and the smoothed target sum to 1, so the per-point
-    loss reduces to 1 - <p, t>. Returns (mean loss over supervised points,
-    gradient w.r.t. the logits); IGNORE points contribute nothing.
-    """
-    p = probs.values
-    n, c = p.shape
-    if len(targets) != n or len(s) != n:
-        raise ShapeMismatch("targets/confidences must match the probability field")
-    t, mask = smooth_targets(targets, s, beta_hat, c)
-    m = int(mask.sum())
-    grad = np.zeros((n, c))
-    if m == 0:
-        return 0.0, grad
-    dots = np.einsum("nc,nc->n", p, t)
-    loss = float(np.mean(1.0 - dots[mask]))
-    # d(mean(1 - p.t))/dp = -t/m on supervised rows, chained through softmax
-    gp = np.where(mask[:, None], -t / m, 0.0)
-    grad = (gp - np.einsum("nc,nc->n", gp, p)[:, None]) * p
-    return loss, grad
 
 
 def dice_term(probs_t, targets: LabelField, s: ConfidenceField, beta_hat: float):
@@ -252,9 +221,13 @@ class OptimizerState:
                    v={k: np.zeros_like(x) for k, x in params.tensors.items()})
 
 
+#: Adam's moment decay rates.
+_BETA1 = 0.9
+_BETA2 = 0.999
+
+
 def adam_step(params: NetworkParams, grads: dict, state: OptimizerState,
-              lr: float = 1e-3, wd: float = 1e-5, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8):
+              lr: float = 1e-3, wd: float = 1e-5, eps: float = 1e-8):
     """One bias-corrected Adam step with decoupled weight decay."""
     state.step += 1
     t = state.step
@@ -264,10 +237,10 @@ def adam_step(params: NetworkParams, grads: dict, state: OptimizerState,
             g = np.zeros_like(p)
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name}")
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1 ** t)
-        v_hat = state.v[name] / (1 - beta2 ** t)
+        state.m[name] = _BETA1 * state.m[name] + (1 - _BETA1) * g
+        state.v[name] = _BETA2 * state.v[name] + (1 - _BETA2) * g * g
+        m_hat = state.m[name] / (1 - _BETA1 ** t)
+        v_hat = state.v[name] / (1 - _BETA2 ** t)
         update = lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * p
         params.tensors[name] = p - update
     return params, state
@@ -336,12 +309,15 @@ def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
 _HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",
                "pred1_w", "pred1_b", "pred2_w", "pred2_b")
 _WARMUP_JITTER = 0.05
+#: Label smoothing ceiling of the supervised source fit.
+_PRETRAIN_BETA_HAT = 0.3
+#: Correspondence distance threshold (m) of the head warm-up pairs.
+_WARMUP_TAU = 0.2
 
 
 def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                     num_classes: int, lr: float = 1e-3, wd: float = 1e-5,
-                    beta_hat: float = 0.3, head_epochs: int = 2,
-                    window: int = 5, tau: float = 0.2):
+                    head_epochs: int = 2, window: int = 5):
     """Fit the source model on labeled sequences with the soft Dice loss.
 
     `sequences` is a list of frame lists carrying ground truth; `feature_fn`
@@ -374,7 +350,8 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
             frame = frames[i]
             labels = LabelField(frame.gt_labels)
             ones = ConfidenceField(np.ones(frame.num_points))
-            loss, grads, _ = total_loss_and_grad(params, cache[i], labels, ones, beta_hat)
+            loss, grads, _ = total_loss_and_grad(params, cache[i], labels, ones,
+                                                 _PRETRAIN_BETA_HAT)
             params, state = adam_step(params, grads, state, lr=lr, wd=wd)
             losses.append(loss)
         history.append(float(np.mean(losses)))
@@ -405,7 +382,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                 feats = [feature_fn(f) for f in views]
                 for t in range(window, len(seq)):
                     frame_t, frame_prev = views[t], views[t - window]
-                    pairs = spatial.match_correspondences(frame_t, frame_prev, tau)
+                    pairs = spatial.match_correspondences(frame_t, frame_prev, _WARMUP_TAU)
                     if not len(pairs.idx_t):
                         continue
                     batch = TemporalBatch(
@@ -416,7 +393,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                     _, grads, _ = total_loss_and_grad(
                         params, feats[t], LabelField(np.full(frame_t.num_points, IGNORE)),
                         ConfidenceField(np.ones(frame_t.num_points)),
-                        beta_hat, temporal=batch)
+                        _PRETRAIN_BETA_HAT, temporal=batch)
                     for name in grads:
                         if name not in _HEAD_NAMES:
                             grads[name][...] = 0.0

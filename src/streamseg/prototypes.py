@@ -8,14 +8,12 @@ prototype label agrees.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import IGNORE, LabelField, SelectionMask
-from .errors import IoFailure, LengthMismatch, MalformedRecord, NoSeenClasses
+from .errors import LengthMismatch, NoSeenClasses
 
 _NORM_EPS = 1e-12
 
@@ -31,41 +29,8 @@ class PrototypeBank:
     def empty(cls, num_classes: int, dim: int) -> "PrototypeBank":
         return cls(np.zeros((num_classes, dim)), np.zeros(num_classes, dtype=bool))
 
-    @property
-    def num_classes(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.prototypes.shape[1]
-
     def copy(self) -> "PrototypeBank":
         return PrototypeBank(self.prototypes.copy(), self.seen.copy())
-
-    def save(self, path) -> None:
-        try:
-            with open(path, "wb") as f:
-                f.write(struct.pack("<II", self.num_classes, self.dim))
-                f.write(self.seen.astype(np.uint8).tobytes())
-                f.write(np.ascontiguousarray(self.prototypes, dtype="<f8").tobytes())
-        except OSError as e:
-            raise IoFailure(str(e)) from e
-
-    @classmethod
-    def load(cls, path) -> "PrototypeBank":
-        try:
-            blob = Path(path).read_bytes()
-        except OSError as e:
-            raise IoFailure(str(e)) from e
-        if len(blob) < 8:
-            raise MalformedRecord(f"{path}: truncated prototype bank")
-        c, d = struct.unpack_from("<II", blob, 0)
-        expected = 8 + c + 8 * c * d
-        if len(blob) != expected:
-            raise MalformedRecord(f"{path}: expected {expected} bytes, found {len(blob)}")
-        seen = np.frombuffer(blob, dtype=np.uint8, count=c, offset=8).astype(bool)
-        protos = np.frombuffer(blob, dtype="<f8", count=c * d, offset=8 + c).reshape(c, d).copy()
-        return cls(protos, seen)
 
 
 def build_prototypes(z, labels: LabelField, selected: SelectionMask, num_classes: int):

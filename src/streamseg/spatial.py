@@ -116,12 +116,6 @@ def knn_batch(index: SpatialIndex, queries, k: int):
     return idx[:, :k], dist[:, :k]
 
 
-def knn(index: SpatialIndex, query, k: int):
-    """K nearest neighbors of a single query point as (index, distance) pairs."""
-    idx, dist = knn_batch(index, np.asarray(query, dtype=np.float64)[None, :], k)
-    return list(zip(idx[0].tolist(), dist[0].tolist()))
-
-
 @dataclass(frozen=True)
 class CorrespondenceSet:
     """Point pairs matched between frame t and frame t-w.

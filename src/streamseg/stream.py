@@ -15,7 +15,7 @@ poses.txt (row-major upper 3x4 of the sensor-to-world pose per line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +282,14 @@ def generate_sequence(scene: SceneConfig, shift: ShiftConfig):
                                 "adjust spacings/range or dropout")
         frames.append(Frame(frame_id=t, points=local, pose=pose, gt_labels=labels))
     return frames
+
+
+def jittered_copies(sequences, sigma: float, seed: int):
+    """A copy of each sequence with N(0, sigma) noise on every coordinate, seeded by `seed`."""
+    rng = np.random.default_rng([seed, 0xAA6])
+    return [[Frame(f.frame_id, f.points + rng.normal(0.0, sigma, f.points.shape),
+                   f.pose, f.gt_labels) for f in seq]
+            for seq in sequences]
 
 
 # -- sequence I/O ------------------------------------------------------------

@@ -12,25 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .errors import DegenerateVector
 from .model import TemporalBatch
 
 _NORM_EPS = 1e-12
-
-
-def negative_cosine(q, z, s_weight: float = 1.0) -> float:
-    """Confidence-weighted negative cosine similarity of two vectors.
-
-    z is conceptually held constant (stop-gradient); this scalar form is the
-    value only.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    nq = np.linalg.norm(q)
-    nz = np.linalg.norm(z)
-    if nq <= _NORM_EPS or nz <= _NORM_EPS:
-        raise DegenerateVector("cannot normalize a (near-)zero vector")
-    return float(-s_weight * np.dot(q / nq, z / nz))
 
 
 def _valid_pair_mask(e_t, q_t, e_prev, q_prev, idx_t, idx_prev):

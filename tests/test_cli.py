@@ -42,10 +42,22 @@ class TestFlagPlumbing:
         cfg = cli._config_from_args(self.parse("--lambda", "55"))
         assert cfg.lam == pytest.approx(55.0)
 
+    def test_ablate_takes_no_module_switches(self, capsys):
+        # every ladder row sets the module switches itself
+        for switch in ("--no-ggf", "--no-tgr", "--no-cw", "--no-alg", "--no-lgl"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["ablate", "seq", "--checkpoint", "x", switch])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
+
     def test_ablation_toggles(self):
         cfg = cli._config_from_args(self.parse("--no-tgr", "--no-alg"))
         assert not cfg.use_tgr and not cfg.use_alg
-        assert cfg.use_lgl and cfg.use_ggf and cfg.use_cw
+        assert cfg.use_ggf and cfg.use_cw
+        # the local module has no switch: --k 0 turns it off
+        assert cli._config_from_args(self.parse("--k", "0")).k == 0
+        with pytest.raises(SystemExit):
+            self.parse("--no-lgl")
 
 
 class TestPipeline:
@@ -125,6 +137,29 @@ class TestErrorPaths:
         stream.write_label_file(gt / "000004.label", np.zeros(5, dtype=np.int64))
         assert cli.main(["eval", str(pred), str(gt)]) == 1
         assert "error: frame 000004" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, message", [
+        ("0 0\n1 2 3\n", "map.txt:2: expected 'raw_id canonical_id'"),
+        ("0 0\nseven 1\n", "map.txt:2: expected 'raw_id canonical_id'"),
+        ("0 0\n0 1\n", "map.txt:2: raw id 0 mapped twice"),
+        ("0 0\n1 9\n", "raw id 1 maps to out-of-range canonical id 9"),
+    ], ids=["malformed", "non-integer", "duplicate", "out-of-range"])
+    def test_eval_bad_class_map_is_an_error_line(self, tmp_path, capsys, table, message):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        stream.write_label_file(labels / "000000.label", np.zeros(3, dtype=np.int64))
+        cmap = tmp_path / "map.txt"
+        cmap.write_text(table)
+        assert cli.main(["eval", str(labels), str(labels), "--class-map", str(cmap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_eval_missing_class_map_is_an_error_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        assert cli.main(["eval", str(labels), str(labels),
+                         "--class-map", str(tmp_path / "none.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_eval_pairs_files_by_stem(self, tmp_path, capsys):
         pred = tmp_path / "pred"

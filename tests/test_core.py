@@ -1,5 +1,7 @@
 """Frames, label fields, class maps and their validation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from streamseg.core import (
     validate_frame,
 )
 from streamseg.errors import (
+    ConfigInvalid,
     EmptyFrame,
     InvalidPose,
     LengthMismatch,
@@ -106,6 +109,9 @@ class TestFields:
         assert len(LabelField(np.array([1, 2, IGNORE]))) == 3
 
 
+SEMANTIC_KITTI = Path(__file__).resolve().parents[1] / "class_maps" / "semantic_kitti.txt"
+
+
 class TestClassMap:
     def test_canonical_has_seven_classes(self):
         cm = ClassMap.canonical()
@@ -113,7 +119,7 @@ class TestClassMap:
         assert cm.canonical_names == CANONICAL_CLASSES
 
     def test_semantic_kitti_examples(self):
-        table = ClassMap.semantic_kitti().raw_to_canonical
+        table = ClassMap.from_file(SEMANTIC_KITTI).raw_to_canonical
         assert table[1] == 0           # car -> vehicle
         assert table[0] == IGNORE      # unlabelled
         assert table[9] == 2           # road
@@ -121,7 +127,7 @@ class TestClassMap:
         assert table[14] == 5          # fence -> manmade
 
     def test_remap_vectorized(self):
-        cm = ClassMap.semantic_kitti()
+        cm = ClassMap.from_file(SEMANTIC_KITTI)
         raw = np.array([1, 9, 0, 6], dtype=np.int64)
         out = remap_labels(raw, cm)
         assert out.values.tolist() == [0, 2, IGNORE, 1]
@@ -136,6 +142,14 @@ class TestClassMap:
         p.write_text("# raw -> canonical\n10 0\n44 2\n99 -1\n")
         cm = ClassMap.from_file(p)
         assert cm.raw_to_canonical == {10: 0, 44: 2, 99: IGNORE}
+
+    @pytest.mark.parametrize("table", ["1 2 3\n", "a 1\n", "1 1.5\n", "4 0\n4 1\n", "0 7\n"],
+                             ids=["malformed", "non-integer", "float", "duplicate", "out-of-range"])
+    def test_from_file_rejects_malformed_table(self, tmp_path, table):
+        p = tmp_path / "map.txt"
+        p.write_text(table)
+        with pytest.raises(ConfigInvalid):
+            ClassMap.from_file(p)
 
     def test_identity_map(self):
         cm = ClassMap.identity(7)

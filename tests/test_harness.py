@@ -22,13 +22,18 @@ def tiny_params(seed=0):
     return model.NetworkParams.init(9, 7, seed=seed)
 
 
+def evaluate_iou(pred, gt, num_classes):
+    """Per-class IoU and mIoU of one frame."""
+    return harness.iou_from_confusion(harness.confusion_matrix(pred, gt, num_classes))
+
+
 class TestIouMetrics:
     def test_hand_oracle(self):
         #        gt:   0 0 0 1 1 2
         #        pred: 0 0 1 1 1 0
         gt = LabelField(np.array([0, 0, 0, 1, 1, 2]))
         pred = LabelField(np.array([0, 0, 1, 1, 1, 0]))
-        iou, miou = harness.evaluate_iou(pred, gt, 3)
+        iou, miou = evaluate_iou(pred, gt, 3)
         # class0: tp=2 fp=1 fn=1 -> 1/2; class1: tp=2 fp=1 fn=0 -> 2/3
         # class2: tp=0 fn=1 -> 0
         np.testing.assert_allclose(iou, [0.5, 2 / 3, 0.0])
@@ -36,14 +41,14 @@ class TestIouMetrics:
 
     def test_perfect_prediction(self):
         gt = LabelField(np.array([0, 1, 2, 1]))
-        iou, miou = harness.evaluate_iou(gt, gt, 3)
+        iou, miou = evaluate_iou(gt, gt, 3)
         np.testing.assert_allclose(iou, 1.0)
         assert miou == pytest.approx(1.0)
 
     def test_absent_class_is_nan_and_excluded(self):
         gt = LabelField(np.array([0, 0]))
         pred = LabelField(np.array([0, 0]))
-        iou, miou = harness.evaluate_iou(pred, gt, 3)
+        iou, miou = evaluate_iou(pred, gt, 3)
         assert iou[0] == pytest.approx(1.0)
         assert np.isnan(iou[1]) and np.isnan(iou[2])
         assert miou == pytest.approx(1.0)
@@ -51,21 +56,21 @@ class TestIouMetrics:
     def test_gt_ignore_excluded(self):
         gt = LabelField(np.array([IGNORE, 0]))
         pred = LabelField(np.array([1, 0]))  # wrong on the ignored point
-        iou, miou = harness.evaluate_iou(pred, gt, 2)
+        iou, miou = evaluate_iou(pred, gt, 2)
         assert iou[0] == pytest.approx(1.0)
         assert miou == pytest.approx(1.0)
 
     def test_ignore_prediction_counts_as_miss(self):
         gt = LabelField(np.array([0, 0]))
         pred = LabelField(np.array([0, IGNORE]))
-        iou, _ = harness.evaluate_iou(pred, gt, 2)
+        iou, _ = evaluate_iou(pred, gt, 2)
         # tp=1, fn=1 (the abstained point) -> 1/2
         assert iou[0] == pytest.approx(0.5)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            harness.evaluate_iou(LabelField(np.zeros(2, dtype=np.int64)),
-                                 LabelField(np.zeros(3, dtype=np.int64)), 2)
+            evaluate_iou(LabelField(np.zeros(2, dtype=np.int64)),
+                         LabelField(np.zeros(3, dtype=np.int64)), 2)
         with pytest.raises(LengthMismatch, match="3 labels.*5"):
             harness.confusion_matrix(LabelField(np.zeros(3, dtype=np.int64)),
                                      LabelField(np.zeros(5, dtype=np.int64)), 2)
@@ -73,10 +78,12 @@ class TestIouMetrics:
     def test_confusion_accumulates_over_frames(self):
         gt = LabelField(np.array([0, 1]))
         pred = LabelField(np.array([0, 0]))
-        one = harness.confusion_matrix(pred, gt, 2)
-        total = harness._accumulate(one, one)
+        total = harness.empty_confusion(2)
+        for _ in range(2):
+            total, one = harness.accumulate_confusion(total, pred, gt)
         iou, _ = harness.iou_from_confusion(total)
         np.testing.assert_allclose(iou, [2 / 4, 0.0])
+        np.testing.assert_array_equal(one[0], harness.confusion_matrix(pred, gt, 2)[0])
 
 
 class TestAdaptConfig:
@@ -236,7 +243,7 @@ class TestAblation:
         names = [name for name, _ in harness.ABLATION_LADDER]
         assert names == ["local", "+temporal", "+prototypes", "+conf-weight", "full"]
         on = [sum(toggles.values()) for _, toggles in harness.ABLATION_LADDER]
-        assert on == [1, 2, 3, 4, 5]
+        assert on == [0, 1, 2, 3, 4]
 
     def test_run_ablation_reports_all_rows(self):
         frames = tiny_stream(4)

@@ -5,12 +5,37 @@ import pytest
 
 from streamseg.core import ConfidenceField, Frame, IGNORE, LabelField, ProbabilityField
 from streamseg.errors import MalformedRecord, NoGroundTruth, ShapeMismatch
+from streamseg import autodiff as ad
 from streamseg import model
 from streamseg.spatial import build_index, local_geometric_features
 
 
 def random_params(seed=0, feature_dim=9, num_classes=4):
     return model.NetworkParams.init(feature_dim, num_classes, seed=seed)
+
+
+def soft_dice_loss(probs, targets, s, beta_hat=0.3):
+    """Numpy reference of the per-point soft Dice against smoothed targets.
+
+    Both the softmax row and the smoothed target sum to 1, so the per-point
+    loss reduces to 1 - <p, t>. Returns (mean loss over supervised points,
+    gradient w.r.t. the logits); IGNORE points contribute nothing.
+    """
+    p = probs.values
+    n, c = p.shape
+    if len(targets) != n or len(s) != n:
+        raise ShapeMismatch("targets/confidences must match the probability field")
+    t, mask = model.smooth_targets(targets, s, beta_hat, c)
+    m = int(mask.sum())
+    grad = np.zeros((n, c))
+    if m == 0:
+        return 0.0, grad
+    dots = np.einsum("nc,nc->n", p, t)
+    loss = float(np.mean(1.0 - dots[mask]))
+    # d(mean(1 - p.t))/dp = -t/m on supervised rows, chained through softmax
+    gp = np.where(mask[:, None], -t / m, 0.0)
+    grad = (gp - np.einsum("nc,nc->n", gp, p)[:, None]) * p
+    return loss, grad
 
 
 def fd_loss(params, features, targets, s, beta_hat=0.3):
@@ -41,9 +66,10 @@ class TestForward:
 
     def test_heads_shapes(self):
         params = random_params()
-        e, q = model.heads(params, np.random.default_rng(2).normal(size=(8, 32)))
-        assert e.shape == (8, 32)
-        assert q.shape == (8, 32)
+        z = np.random.default_rng(2).normal(size=(8, 32))
+        e, q = model.heads_graph(model.make_leaves(params), ad.Tensor(z))
+        assert e.value.shape == (8, 32)
+        assert q.value.shape == (8, 32)
 
 
 class TestNormalizeFeatures:
@@ -94,22 +120,22 @@ class TestSmoothTargets:
 class TestSoftDice:
     def test_two_class_hand_oracle(self):
         probs = ProbabilityField(np.array([[0.6, 0.4]]))
-        loss, grad = model.soft_dice_loss(probs, LabelField(np.array([0])),
-                                          ConfidenceField(np.array([1.0])))
+        loss, grad = soft_dice_loss(probs, LabelField(np.array([0])),
+                                    ConfidenceField(np.array([1.0])))
         assert loss == pytest.approx(0.4)
         np.testing.assert_allclose(grad[0], [-0.24, 0.24], atol=1e-12)
 
     def test_perfect_prediction_zero_loss(self):
         probs = ProbabilityField(np.array([[1.0, 0.0]]))
-        loss, grad = model.soft_dice_loss(probs, LabelField(np.array([0])),
-                                          ConfidenceField(np.array([1.0])))
+        loss, grad = soft_dice_loss(probs, LabelField(np.array([0])),
+                                    ConfidenceField(np.array([1.0])))
         assert loss == pytest.approx(0.0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_all_ignore_zero_everything(self):
         probs = ProbabilityField(np.full((3, 2), 0.5))
-        loss, grad = model.soft_dice_loss(probs, LabelField(np.full(3, IGNORE)),
-                                          ConfidenceField(np.ones(3)))
+        loss, grad = soft_dice_loss(probs, LabelField(np.full(3, IGNORE)),
+                                    ConfidenceField(np.ones(3)))
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -144,7 +170,7 @@ class TestTotalLossGradcheck:
         s = ConfidenceField(rng.random(20))
         loss, _, (dice, reg) = model.total_loss_and_grad(params, x, labels, s)
         probs, _, _ = model.forward(params, x)
-        ref, _ = model.soft_dice_loss(probs, labels, s)
+        ref, _ = soft_dice_loss(probs, labels, s)
         assert loss == pytest.approx(ref, abs=1e-12)
         assert dice == pytest.approx(ref, abs=1e-12)
         assert reg == 0.0

@@ -1,4 +1,4 @@
-"""Prototype banks: construction, EMA blending, cosine labels, fusion, I/O."""
+"""Prototype banks: construction, EMA blending, cosine labels, fusion."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamseg.core import IGNORE, LabelField, SelectionMask
-from streamseg.errors import LengthMismatch, MalformedRecord, NoSeenClasses
+from streamseg.errors import LengthMismatch, NoSeenClasses
 from streamseg import prototypes as pr
 
 
@@ -143,28 +143,3 @@ class TestFusion:
         with pytest.raises(LengthMismatch):
             pr.fuse_local_global(LabelField(np.zeros(2, dtype=np.int64)),
                                  LabelField(np.zeros(3, dtype=np.int64)))
-
-
-class TestBankIo:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        bank = bank_with(rng.normal(size=(5, 16)), rng.random(5) < 0.5)
-        path = tmp_path / "bank.bin"
-        bank.save(path)
-        back = pr.PrototypeBank.load(path)
-        np.testing.assert_array_equal(back.prototypes, bank.prototypes)
-        np.testing.assert_array_equal(back.seen, bank.seen)
-
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x05\x00")
-        with pytest.raises(MalformedRecord):
-            pr.PrototypeBank.load(path)
-
-    def test_wrong_payload_size(self, tmp_path):
-        bank = pr.PrototypeBank.empty(2, 3)
-        path = tmp_path / "bank.bin"
-        bank.save(path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(MalformedRecord):
-            pr.PrototypeBank.load(path)

@@ -58,7 +58,8 @@ class TestKnn:
     def test_single_query_wrapper(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
         index = spatial.build_index(pts)
-        result = spatial.knn(index, np.array([0.9, 0, 0]), 2)
+        idx, dist = spatial.knn_batch(index, np.array([0.9, 0, 0]), 2)
+        result = list(zip(idx[0].tolist(), dist[0].tolist()))
         assert [i for i, _ in result] == [1, 0]
         assert result[0][1] == pytest.approx(0.1)
 

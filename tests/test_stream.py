@@ -131,6 +131,19 @@ class TestGeneration:
         assert 0.03 < np.std(delta) < 0.08
         np.testing.assert_array_equal(noisy[0].gt_labels, clean[0].gt_labels)
 
+    def test_jittered_copies(self):
+        clean = stream.generate_sequence(stream.SceneConfig(**SMALL), stream.ShiftConfig())
+        a, b = stream.jittered_copies([clean, clean[:1]], 0.05, seed=3)
+        assert len(a) == len(clean) and len(b) == 1
+        for copy, frame in zip(a, clean):
+            assert 0.03 < np.std(copy.points - frame.points) < 0.08
+            np.testing.assert_array_equal(copy.gt_labels, frame.gt_labels)
+            np.testing.assert_array_equal(copy.pose, frame.pose)
+        # one generator serves the sequences in order, so the second copy differs
+        assert not np.array_equal(b[0].points, a[0].points)
+        again, _ = stream.jittered_copies([clean, clean[:1]], 0.05, seed=3)
+        np.testing.assert_array_equal(again[0].points, a[0].points)
+
 
 class TestSequenceIo:
     def test_round_trip(self, tmp_path):

