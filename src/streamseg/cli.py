@@ -11,7 +11,7 @@ import numpy as np
 
 from . import harness, model, stream
 from .core import ClassMap, LabelField, remap_labels
-from .errors import LengthMismatch, StreamSegError
+from .errors import EmptyInput, LengthMismatch, StreamSegError
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
@@ -119,6 +119,8 @@ def cmd_eval(args) -> int:
         print(f"frame {stem} has no {missing} file", file=sys.stderr)
     if unpaired:
         return 1
+    if not pred_files:
+        raise EmptyInput(f"no .label file in {args.pred} or in {args.gt}")
     if class_map is None:
         class_map = ClassMap.canonical()
     total = harness.empty_confusion(class_map.num_classes)

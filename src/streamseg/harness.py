@@ -1,9 +1,11 @@
 """Online adaptation loop, evaluation protocol, metrics, and ablation grid.
 
-Each incoming frame is first evaluated with the model adapted up to the
-previous frame, then used for one self-supervised update: local pseudo-label
-generation on the frozen source model, prototype fine-tuning on the live
-target model, temporal consistency against the frame w steps back, and a
+Each incoming frame goes through two stages. The source stage depends only
+on the frame, the frozen source model and the window history: geometric
+features, the source prediction, local pseudo-labels and the correspondences
+to the frame w steps back. The target stage first evaluates the model
+adapted up to the previous frame, then takes one self-supervised update:
+prototype fine-tuning on the live target model, temporal consistency, and a
 single optimizer step on the combined objective.
 """
 
@@ -16,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import local_labels, prototypes, spatial
-from .core import IGNORE, ClassMap, Frame, LabelField, remap_labels, validate_frame
+from .core import (IGNORE, ClassMap, ConfidenceField, Frame, LabelField, SelectionMask,
+                   remap_labels, validate_frame)
 from .errors import CheckpointMismatch, ConfigInvalid, LengthMismatch
 from .model import (
     NetworkParams,
@@ -142,68 +145,106 @@ def frame_features(frame: Frame, k_feat: int):
     return index, feats
 
 
-def adapt_frame(state: AdaptationState, frame: Frame):
-    """Evaluate the incoming frame, then run one adaptation update.
+@dataclass
+class SourceFrame:
+    """What the frozen source model yields for one frame.
 
-    Returns (eval_pred, source_pred, state). eval_pred is recorded before any
-    update, so the evaluation protocol always scores the model adapted to the
-    previous frame; source_pred is the frozen source model's prediction.
+    Nothing here depends on live weights or on a run's module switches, so
+    one source stage serves every run that adapts on the frame.
+    """
+
+    frame: Frame
+    features: np.ndarray        # normalized network inputs
+    source_pred: LabelField     # the source model's argmax
+    labels: LabelField          # local pseudo-labels over all points
+    scores: ConfidenceField
+    selected: SelectionMask
+    temporal: TemporalBatch | None  # pairs to frame t - window, if any
+
+
+def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig,
+                 history: list, match: bool) -> SourceFrame:
+    """Features, source forward, local labels and, if `match`, correspondences.
+
+    `history` holds the previous frames' entries, newest last; frame
+    t - window is `window` back. The frame's spatial index, with its cached
+    neighbourhood, dies when this returns, before any target-model work.
+    """
+    validate_frame(frame)
+    index, feats = frame_features(frame, config.k_feat)
+
+    # k = 0 switches the local module off: plain argmax with entropy-only ranking
+    source_probs, _, _ = forward(source_params, feats)
+    source_pred = LabelField(np.argmax(source_probs.values, axis=1))
+    labels, scores, selected = local_labels.run_lgl(
+        source_probs, index, config.k, config.lam, source_params.num_classes)
+
+    temporal = None
+    if match and len(history) >= config.window:
+        oldest = history[-config.window]
+        pairs = spatial.match_correspondences(frame, oldest.frame, config.tau, index_t=index)
+        if len(pairs):
+            temporal = TemporalBatch(oldest.features, pairs.idx_t, pairs.idx_prev,
+                                     scores.values, oldest.scores)
+    return SourceFrame(frame, feats, source_pred, labels, scores, selected, temporal)
+
+
+def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
+    """Evaluate the adapted model on the frame, then take one Adam step.
+
+    Returns the prediction made before the update, so the evaluation protocol
+    always scores the model adapted to the previous frame.
     """
     cfg = state.config
     num_classes = state.source_params.num_classes
-    validate_frame(frame)
-
-    index, feats = frame_features(frame, cfg.k_feat)
-
-    # local pseudo-labels from the frozen source model; k = 0 switches the
-    # local module off: plain argmax with entropy-only ranking
-    source_probs, _, _ = forward(state.source_params, feats)
-    source_pred = LabelField(np.argmax(source_probs.values, axis=1))
-    labels_all, scores, selected = local_labels.run_lgl(
-        source_probs, index, cfg.k, cfg.lam, num_classes)
 
     # one graph of the target model serves the evaluation, the prototypes and the loss
     leaves = make_leaves(state.target_params)
-    outputs = forward_graph(leaves, feats)
+    outputs = forward_graph(leaves, source.features)
     eval_pred = LabelField(np.argmax(outputs[0].value, axis=1))
     z_target = outputs[1].value
 
-    supervision = LabelField(np.where(selected.values, labels_all.values, IGNORE))
+    supervision = LabelField(np.where(source.selected.values, source.labels.values, IGNORE))
     if cfg.use_ggf:
         centroids, counts = prototypes.build_prototypes(
-            z_target, labels_all, selected, num_classes)
+            z_target, source.labels, source.selected, num_classes)
         state.bank = prototypes.ema_update(state.bank, centroids, counts, cfg.alpha)
         if state.bank.seen.any():
             global_labels = prototypes.global_pseudo_labels(z_target, state.bank)
             supervision = prototypes.fuse_local_global(
-                labels_all if cfg.use_alg else supervision, global_labels)
+                source.labels if cfg.use_alg else supervision, global_labels)
 
-    # the buffer holds previous frames, newest last; frame t - window is `window` back
     temporal_batch = None
-    if cfg.use_tgr and len(state.ring_buffer) >= cfg.window:
-        oldest = state.ring_buffer[-cfg.window]
-        pairs = spatial.match_correspondences(frame, oldest.frame, cfg.tau, index_t=index)
-        if len(pairs):
-            temporal_batch = TemporalBatch(
-                features_prev=oldest.features,
-                idx_t=pairs.idx_t,
-                idx_prev=pairs.idx_prev,
-                s_t=scores.values,
-                s_prev=oldest.scores,
-                confidence_weighted=cfg.use_cw,
-            )
+    if cfg.use_tgr and source.temporal is not None:
+        temporal_batch = replace(source.temporal, confidence_weighted=cfg.use_cw)
 
-    del index  # frees the cached neighbourhood before the loss, the frame's memory peak
-    _, grads, _ = loss_and_grad(leaves, outputs, supervision, scores, cfg.beta_hat,
+    _, grads, _ = loss_and_grad(leaves, outputs, supervision, source.scores, cfg.beta_hat,
                                 temporal_batch)
     state.target_params, state.optimizer = adam_step(
         state.target_params, grads, state.optimizer, lr=cfg.lr, wd=cfg.wd,
         eps=cfg.eps)
+    return eval_pred
 
-    state.ring_buffer.append(_BufferEntry(frame, feats, scores.values.copy()))
-    while len(state.ring_buffer) > cfg.window:
-        state.ring_buffer.pop(0)
-    return eval_pred, source_pred, state
+
+def _remember(history: list, source: SourceFrame, window: int):
+    """Append the frame to the window history and trim it to `window` entries."""
+    history.append(_BufferEntry(source.frame, source.features, source.scores.values))
+    while len(history) > window:
+        history.pop(0)
+
+
+def adapt_frame(state: AdaptationState, frame: Frame):
+    """Evaluate the incoming frame, then run one adaptation update.
+
+    The source stage followed by the target stage. Returns (eval_pred,
+    source_pred, state): the adapted model's prediction made before the
+    update, and the frozen source model's prediction.
+    """
+    source = source_stage(state.source_params, frame, state.config, state.ring_buffer,
+                          match=state.config.use_tgr)
+    eval_pred = target_stage(state, source)
+    _remember(state.ring_buffer, source, state.config.window)
+    return eval_pred, source.source_pred, state
 
 
 @dataclass
@@ -252,6 +293,84 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+class _Row:
+    """One run inside a pass over a stream: its state and its per-frame record."""
+
+    def __init__(self, state: AdaptationState, num_classes: int, dump_dir=None):
+        self.state = state
+        self.dump_dir = dump_dir
+        self.total = empty_confusion(num_classes)
+        self.frame_ids, self.per_iou, self.per_miou, self.times = [], [], [], []
+
+    def record(self, frame: Frame, pred: LabelField, gt: LabelField | None, seconds: float):
+        if self.dump_dir is not None:
+            write_label_file(Path(self.dump_dir) / f"{frame.frame_id:06d}.label", pred.values)
+        if gt is not None:
+            self.total, frame_counts = accumulate_confusion(self.total, pred, gt)
+            iou, miou = iou_from_confusion(frame_counts)
+        else:
+            iou, miou = np.full(len(self.total[1]), np.nan), float("nan")
+        self.frame_ids.append(frame.frame_id)
+        self.per_iou.append(iou)
+        self.per_miou.append(miou)
+        self.times.append(seconds)
+
+    def report(self, class_names, source_cumulative: float) -> RunReport:
+        _, cumulative = iou_from_confusion(self.total)
+        return RunReport(
+            class_names=class_names,
+            frame_ids=self.frame_ids,
+            per_frame_iou=self.per_iou,
+            per_frame_miou=self.per_miou,
+            cumulative_miou=cumulative,
+            source_cumulative_miou=source_cumulative,
+            improvement=cumulative - source_cumulative,
+            per_frame_time=self.times,
+            config=asdict(self.state.config),
+        )
+
+
+def _run_rows(frames, rows: list, history: list, class_map: ClassMap) -> list:
+    """One pass over `frames`: per frame, one source stage, then each row's target stage.
+
+    The rows differ only in their module switches, so they share the source
+    stage, the window `history` and the source-only score. A row's frame time
+    is the source stage plus its own target stage. Returns one RunReport per row.
+    """
+    first = rows[0].state
+    match = any(row.state.config.use_tgr for row in rows)
+    source_total = empty_confusion(class_map.num_classes)
+    for frame in frames:
+        gt = None
+        if frame.gt_labels is not None:
+            gt = remap_labels(frame.gt_labels, class_map)
+
+        start = time.perf_counter()
+        source = source_stage(first.source_params, frame, first.config, history, match)
+        source_time = time.perf_counter() - start
+        for row in rows:
+            start = time.perf_counter()
+            eval_pred = target_stage(row.state, source)
+            row.record(frame, eval_pred, gt, source_time + time.perf_counter() - start)
+        _remember(history, source, first.config.window)
+
+        if gt is not None:
+            source_total, _ = accumulate_confusion(source_total, source.source_pred, gt)
+
+    _, source_cumulative = iou_from_confusion(source_total)
+    return [row.report(class_map.canonical_names, source_cumulative) for row in rows]
+
+
+def _checked_class_map(class_map: ClassMap | None, source_params: NetworkParams) -> ClassMap:
+    if class_map is None:
+        class_map = ClassMap.identity(source_params.num_classes)
+    if class_map.num_classes != source_params.num_classes:
+        raise CheckpointMismatch(
+            f"checkpoint has {source_params.num_classes} classes, "
+            f"map has {class_map.num_classes}")
+    return class_map
+
+
 def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
             class_map: ClassMap | None = None, dump_dir=None,
             state: AdaptationState | None = None):
@@ -262,61 +381,14 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
     to continue a previous run (continual mode); `config` then replaces its
     config for every stage. `dump_dir` writes predictions in .label format.
     """
-    if class_map is None:
-        class_map = ClassMap.identity(source_params.num_classes)
-    num_classes = class_map.num_classes
-    if num_classes != source_params.num_classes:
-        raise CheckpointMismatch(
-            f"checkpoint has {source_params.num_classes} classes, map has {num_classes}")
+    class_map = _checked_class_map(class_map, source_params)
     if state is None:
         state = AdaptationState.init(source_params, config)
     state.config = config
-
-    frame_ids, per_iou, per_miou, times = [], [], [], []
-    total, source_total = empty_confusion(num_classes), empty_confusion(num_classes)
-
     if dump_dir is not None:
         Path(dump_dir).mkdir(parents=True, exist_ok=True)
-
-    for frame in frames:
-        gt = None
-        if frame.gt_labels is not None:
-            gt = remap_labels(frame.gt_labels, class_map)
-
-        start = time.perf_counter()
-        eval_pred, source_pred, state = adapt_frame(state, frame)
-        elapsed = time.perf_counter() - start
-
-        if dump_dir is not None:
-            write_label_file(Path(dump_dir) / f"{frame.frame_id:06d}.label",
-                             eval_pred.values)
-
-        if gt is not None:
-            total, frame_counts = accumulate_confusion(total, eval_pred, gt)
-            iou, miou = iou_from_confusion(frame_counts)
-            source_total, _ = accumulate_confusion(source_total, source_pred, gt)
-        else:
-            iou = np.full(num_classes, np.nan)
-            miou = float("nan")
-
-        frame_ids.append(frame.frame_id)
-        per_iou.append(iou)
-        per_miou.append(miou)
-        times.append(elapsed)
-
-    _, cumulative = iou_from_confusion(total)
-    _, source_cumulative = iou_from_confusion(source_total)
-    report = RunReport(
-        class_names=class_map.canonical_names,
-        frame_ids=frame_ids,
-        per_frame_iou=per_iou,
-        per_frame_miou=per_miou,
-        cumulative_miou=cumulative,
-        source_cumulative_miou=source_cumulative,
-        improvement=cumulative - source_cumulative,
-        per_frame_time=times,
-        config=asdict(config),
-    )
+    row = _Row(state, class_map.num_classes, dump_dir)
+    [report] = _run_rows(frames, [row], state.ring_buffer, class_map)
     return report, state
 
 
@@ -332,10 +404,14 @@ ABLATION_LADDER = (
 
 def run_ablation(frames, source_params: NetworkParams, config: AdaptConfig,
                  class_map: ClassMap | None = None):
-    """Run the cumulative ablation ladder; returns [(name, RunReport)]."""
-    results = []
-    for name, toggles in ABLATION_LADDER:
-        row_config = replace(config, **toggles)
-        report, _ = run_tta(frames, source_params, row_config, class_map=class_map)
-        results.append((name, report))
-    return results
+    """Run the cumulative ablation ladder; returns [(name, RunReport)].
+
+    One pass over `frames`: each frame's source stage runs once and every row
+    adapts its own state on it, so `frames` may be a one-pass iterable.
+    """
+    class_map = _checked_class_map(class_map, source_params)
+    rows = [_Row(AdaptationState.init(source_params, replace(config, **toggles)),
+                 class_map.num_classes)
+            for _, toggles in ABLATION_LADDER]
+    reports = _run_rows(frames, rows, [], class_map)
+    return [(name, report) for (name, _), report in zip(ABLATION_LADDER, reports)]

@@ -173,3 +173,11 @@ class TestErrorPaths:
         assert cli.main(["eval", str(pred), str(gt)]) == 1
         err = capsys.readouterr().err
         assert "000000" in err and "000002" in err
+
+    def test_eval_of_empty_directories_is_an_error_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(pred) in err and str(gt) in err

@@ -110,6 +110,14 @@ class TestFields:
 
 
 SEMANTIC_KITTI = Path(__file__).resolve().parents[1] / "class_maps" / "semantic_kitti.txt"
+SEMANTIC_KITTI_RAW = SEMANTIC_KITTI.with_name("semantic_kitti_raw.txt")
+#: SemanticKITTI's learning_map: raw .label id -> 0-19 training id.
+SEMANTIC_KITTI_LEARNING_MAP = {
+    0: 0, 1: 0, 10: 1, 11: 2, 13: 5, 15: 3, 16: 5, 18: 4, 20: 5, 30: 6, 31: 7, 32: 8,
+    40: 9, 44: 10, 48: 11, 49: 12, 50: 13, 51: 14, 52: 0, 60: 9, 70: 15, 71: 16,
+    72: 17, 80: 18, 81: 19, 99: 0, 252: 1, 253: 7, 254: 6, 255: 8, 256: 5, 257: 5,
+    258: 4, 259: 5,
+}
 
 
 class TestClassMap:
@@ -131,6 +139,15 @@ class TestClassMap:
         raw = np.array([1, 9, 0, 6], dtype=np.int64)
         out = remap_labels(raw, cm)
         assert out.values.tolist() == [0, 2, IGNORE, 1]
+
+    def test_semantic_kitti_raw_ids(self):
+        cm = ClassMap.from_file(SEMANTIC_KITTI_RAW)
+        raw = np.array([10, 40, 48, 252, 254, 60, 99], dtype=np.int64)
+        assert remap_labels(raw, cm).values.tolist() == [0, 2, 3, 0, 1, 2, IGNORE]
+        # every raw id, mapped as the training-id table maps its learning-map class
+        training = ClassMap.from_file(SEMANTIC_KITTI).raw_to_canonical
+        assert cm.raw_to_canonical == {raw_id: training[train_id] for raw_id, train_id
+                                       in SEMANTIC_KITTI_LEARNING_MAP.items()}
 
     def test_remap_unknown_raises(self):
         cm = ClassMap.canonical()

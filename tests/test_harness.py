@@ -27,6 +27,38 @@ def evaluate_iou(pred, gt, num_classes):
     return harness.iou_from_confusion(harness.confusion_matrix(pred, gt, num_classes))
 
 
+def calls_per_frame(monkeypatch, frames, run):
+    """K-NN queries and forward graphs made while each frame is current.
+
+    `run(source)` is called with a re-iterable source over `frames`.
+    """
+    calls = []
+
+    def count(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        # rebind every module that imported the function by name too
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("streamseg")
+                    and vars(module).get(fn.__name__) is fn):
+                monkeypatch.setattr(module, fn.__name__, wrapped)
+
+    count("knn", spatial.knn_batch)
+    count("forward", model.forward_graph)
+    per_frame = []
+
+    class Frames:
+        def __iter__(self):
+            for f in frames:
+                calls.clear()
+                yield f
+                per_frame.append(list(calls))
+
+    run(Frames())
+    return per_frame
+
+
 class TestIouMetrics:
     def test_hand_oracle(self):
         #        gt:   0 0 0 1 1 2
@@ -177,30 +209,8 @@ class TestRunTta:
     def test_one_self_query_and_one_forward_per_model_per_frame(self, monkeypatch):
         frames = tiny_stream(3)
         cfg = harness.AdaptConfig(window=2)
-        calls = []
-
-        def count(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            # rebind every module that imported the function by name too
-            for module in list(sys.modules.values()):
-                if (getattr(module, "__name__", "").startswith("streamseg")
-                        and vars(module).get(fn.__name__) is fn):
-                    monkeypatch.setattr(module, fn.__name__, wrapped)
-
-        count("knn", spatial.knn_batch)
-        count("forward", model.forward_graph)
-        per_frame = []
-
-        class Frames:
-            def __iter__(self):
-                for f in frames:
-                    calls.clear()
-                    yield f
-                    per_frame.append(list(calls))
-
-        harness.run_tta(Frames(), tiny_params(), cfg)
+        per_frame = calls_per_frame(monkeypatch, frames,
+                                    lambda source: harness.run_tta(source, tiny_params(), cfg))
         # the last frame has temporal pairs: one self-query plus one match;
         # source, target (eval, prototypes and loss) and previous-frame forwards
         assert per_frame[-1].count("knn") == 2
@@ -251,3 +261,41 @@ class TestAblation:
         assert [name for name, _ in rows] == [name for name, _ in harness.ABLATION_LADDER]
         for _, rep in rows:
             assert np.isfinite(rep.cumulative_miou)
+
+    def test_rows_equal_separate_runs(self):
+        frames = tiny_stream(4)
+        params = tiny_params()
+        cfg = harness.AdaptConfig(window=2)
+        rows = dict(harness.run_ablation(frames, params, cfg))
+        for name, toggles in harness.ABLATION_LADDER:
+            alone, _ = harness.run_tta(frames, params, replace(cfg, **toggles))
+            assert rows[name].csv_text(include_time=False) == alone.csv_text(include_time=False)
+            assert rows[name].source_cumulative_miou == alone.source_cumulative_miou
+            assert rows[name].config == alone.config
+
+    def test_one_pass_iterable_feeds_every_row(self):
+        frames = tiny_stream(4)
+        rows = harness.run_ablation((f for f in frames), tiny_params(), harness.AdaptConfig())
+        for _, rep in rows:
+            assert rep.frame_ids == [f.frame_id for f in frames]
+
+    def test_one_pass_iterable_matches_list(self):
+        frames = tiny_stream(4)
+        params = tiny_params()
+        from_list = harness.run_ablation(frames, params, harness.AdaptConfig())
+        from_generator = harness.run_ablation(iter(frames), params, harness.AdaptConfig())
+        for (name_a, a), (name_b, b) in zip(from_list, from_generator):
+            assert name_a == name_b
+            assert a.csv_text(include_time=False) == b.csv_text(include_time=False)
+            assert a.source_cumulative_miou == b.source_cumulative_miou
+
+    def test_one_source_pass_per_frame(self, monkeypatch):
+        frames = tiny_stream(3)
+        cfg = harness.AdaptConfig(window=2)
+        per_frame = calls_per_frame(
+            monkeypatch, frames, lambda source: harness.run_ablation(source, tiny_params(), cfg))
+        # the last frame: one self-query and one shared match; one source
+        # forward, five target forwards and the previous frame's forward for
+        # each of the four rows with the temporal term
+        assert per_frame[-1].count("knn") == 2
+        assert per_frame[-1].count("forward") == 10
