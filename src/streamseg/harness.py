@@ -27,9 +27,8 @@ from .model import (
     TemporalBatch,
     adam_step,
     forward,
-    forward_graph,
+    forward_pass,
     loss_and_grad,
-    make_leaves,
     normalize_features,
 )
 from .stream import write_label_file
@@ -60,7 +59,11 @@ class AdaptConfig:
                   ("k_feat", self.k_feat >= 3, ">= 3"),
                   ("lam", 0 <= self.lam < 100, "in [0, 100)"),
                   ("tau", self.tau > 0, "> 0"),
-                  ("eps", self.eps > 0, "> 0"))
+                  ("eps", self.eps > 0, "> 0"),
+                  ("alpha", 0 <= self.alpha < 1, "in [0, 1)"),
+                  ("beta_hat", 0 <= self.beta_hat <= 1, "in [0, 1]"),
+                  ("lr", self.lr >= 0, ">= 0"),
+                  ("wd", self.wd >= 0, ">= 0"))
         for name, ok, bound in checks:
             if not ok:
                 raise ConfigInvalid(f"{name} must be {bound}, got {getattr(self, name)}")
@@ -198,11 +201,10 @@ def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
     cfg = state.config
     num_classes = state.source_params.num_classes
 
-    # one graph of the target model serves the evaluation, the prototypes and the loss
-    leaves = make_leaves(state.target_params)
-    outputs = forward_graph(leaves, source.features)
-    eval_pred = LabelField(np.argmax(outputs[0].value, axis=1))
-    z_target = outputs[1].value
+    # one forward pass of the target model serves the evaluation, the prototypes and the loss
+    fp = forward_pass(state.target_params, source.features)
+    eval_pred = LabelField(np.argmax(fp.probs, axis=1))
+    z_target = fp.z
 
     supervision = LabelField(np.where(source.selected.values, source.labels.values, IGNORE))
     if cfg.use_ggf:
@@ -218,11 +220,13 @@ def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
     if cfg.use_tgr and source.temporal is not None:
         temporal_batch = replace(source.temporal, confidence_weighted=cfg.use_cw)
 
-    _, grads, _ = loss_and_grad(leaves, outputs, supervision, source.scores, cfg.beta_hat,
-                                temporal_batch)
-    state.target_params, state.optimizer = adam_step(
-        state.target_params, grads, state.optimizer, lr=cfg.lr, wd=cfg.wd,
-        eps=cfg.eps)
+    loss, grads, _ = loss_and_grad(state.target_params, fp, supervision, source.scores,
+                                   cfg.beta_hat, temporal_batch)
+    # a non-finite loss or gradient would poison the Adam moments: skip the step
+    if np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values()):
+        state.target_params, state.optimizer = adam_step(
+            state.target_params, grads, state.optimizer, lr=cfg.lr, wd=cfg.wd,
+            eps=cfg.eps)
     return eval_pred
 
 

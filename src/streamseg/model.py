@@ -9,7 +9,10 @@ The network is a small fully connected stack applied pointwise:
     encoder out -> 16 -> 32 (ReLU hidden)     predictor head
 
 All parameters are 64-bit; forward/backward are pure given a parameter
-snapshot. Checkpoints are flat binary records with magic "HGL1".
+snapshot. The backward is derived by hand, layer by layer, and reproduces
+the arithmetic of the reverse-mode tape in `autodiff` op for op, so its
+gradients equal the tape's bitwise. Checkpoints are flat binary records
+with magic "HGL1".
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField
 from .errors import IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 
@@ -146,29 +148,93 @@ def normalize_features(features) -> np.ndarray:
     return out
 
 
-def make_leaves(params: NetworkParams) -> dict:
-    return {name: ad.Tensor(params.tensors[name]) for name in params.names()}
+@dataclass
+class ForwardPass:
+    """Activations of one pointwise forward pass, kept for its backward.
+
+    `logits` and `probs` (the unclipped softmax) are None when the pass
+    skipped the classifier.
+    """
+
+    x: np.ndarray           # network input: backbone1's input
+    h1: np.ndarray          # backbone2's input
+    m1: np.ndarray          # ReLU mask of backbone1
+    h2: np.ndarray          # embed's input
+    m2: np.ndarray          # ReLU mask of backbone2
+    z: np.ndarray           # embedding: the classifier's and the encoder's input
+    logits: np.ndarray | None
+    probs: np.ndarray | None
 
 
-def _dense(leaves, name, x):
-    return ad.add(ad.matmul(x, leaves[f"{name}_w"]), leaves[f"{name}_b"])
+@dataclass
+class HeadsPass:
+    """Activations of the encoder and predictor heads on embeddings `z`."""
+
+    z: np.ndarray           # enc1's input
+    h_enc: np.ndarray       # enc2's input
+    m_enc: np.ndarray       # ReLU mask of enc1
+    e: np.ndarray           # encoder output: pred1's input
+    h_pred: np.ndarray      # pred2's input
+    m_pred: np.ndarray      # ReLU mask of pred1
+    q: np.ndarray           # predictor output
 
 
-def forward_graph(leaves, features):
-    """Build the classification graph; returns (probs, z, logits) tensors."""
-    x = ad.Tensor(features)
-    h = ad.relu(_dense(leaves, "backbone1", x))
-    h = ad.relu(_dense(leaves, "backbone2", h))
-    z = _dense(leaves, "embed", h)
-    logits = _dense(leaves, "classifier", z)
-    return ad.softmax_rows(logits), z, logits
+def _dense(params: NetworkParams, name: str, x):
+    return x @ params.tensors[f"{name}_w"] + params.tensors[f"{name}_b"]
 
 
-def heads_graph(leaves, z):
-    """Encoder/predictor heads on embeddings; returns (encoded, predicted)."""
-    e = _dense(leaves, "enc2", ad.relu(_dense(leaves, "enc1", z)))
-    q = _dense(leaves, "pred2", ad.relu(_dense(leaves, "pred1", e)))
-    return e, q
+def _relu(s):
+    """(s * mask, mask): multiplying by the mask keeps the sign of zeros."""
+    mask = s > 0
+    return s * mask, mask
+
+
+def forward_pass(params: NetworkParams, features, classify: bool = True) -> ForwardPass:
+    """The network's one forward pass; `classify=False` stops at the embedding."""
+    x = np.asarray(features, dtype=np.float64)
+    h1, m1 = _relu(_dense(params, "backbone1", x))
+    h2, m2 = _relu(_dense(params, "backbone2", h1))
+    z = _dense(params, "embed", h2)
+    logits = probs = None
+    if classify:
+        logits = _dense(params, "classifier", z)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+    return ForwardPass(x, h1, m1, h2, m2, z, logits, probs)
+
+
+def heads(params: NetworkParams, z) -> HeadsPass:
+    """Encoder/predictor heads on embeddings."""
+    h_enc, m_enc = _relu(_dense(params, "enc1", z))
+    e = _dense(params, "enc2", h_enc)
+    h_pred, m_pred = _relu(_dense(params, "pred1", e))
+    return HeadsPass(z, h_enc, m_enc, e, h_pred, m_pred, _dense(params, "pred2", h_pred))
+
+
+def _dense_backward(params: NetworkParams, name: str, x, g, grads: dict, input_grad=True):
+    """Add a dense layer's weight and bias gradients to `grads`; return its input's.
+
+    A tensor gets at most two contributions, one per frame's pass, and a
+    two-term float sum does not depend on its order.
+    """
+    for key, contribution in ((f"{name}_w", x.T @ g), (f"{name}_b", g.sum(axis=0))):
+        grads[key] = contribution if key not in grads else grads[key] + contribution
+    return g @ params.tensors[f"{name}_w"].T if input_grad else None
+
+
+def heads_backward(params: NetworkParams, h: HeadsPass, g_q, grads: dict):
+    """Backward from the predictor output to the embedding; returns d/dz."""
+    g = _dense_backward(params, "pred2", h.h_pred, g_q, grads) * h.m_pred
+    g = _dense_backward(params, "pred1", h.e, g, grads)
+    g = _dense_backward(params, "enc2", h.h_enc, g, grads) * h.m_enc
+    return _dense_backward(params, "enc1", h.z, g, grads)
+
+
+def backbone_backward(params: NetworkParams, fp: ForwardPass, g_z, grads: dict) -> None:
+    """Backward from the embedding to the first layer; the input gets no gradient."""
+    g = _dense_backward(params, "embed", fp.h2, g_z, grads) * fp.m2
+    g = _dense_backward(params, "backbone2", fp.h1, g, grads) * fp.m1
+    _dense_backward(params, "backbone1", fp.x, g, grads, input_grad=False)
 
 
 def forward(params: NetworkParams, features):
@@ -177,8 +243,8 @@ def forward(params: NetworkParams, features):
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
         raise ShapeMismatch(
             f"expected N x {params.feature_dim} features, got {features.shape}")
-    probs_t, z_t, logits_t = forward_graph(make_leaves(params), features)
-    return ProbabilityField(np.clip(probs_t.value, 0.0, 1.0)), z_t.value, logits_t.value
+    fp = forward_pass(params, features)
+    return ProbabilityField(np.clip(fp.probs, 0.0, 1.0)), fp.z, fp.logits
 
 
 def smooth_targets(targets: LabelField, s: ConfidenceField, beta_hat: float, num_classes: int):
@@ -195,16 +261,6 @@ def smooth_targets(targets: LabelField, s: ConfidenceField, beta_hat: float, num
     out[sup] = (beta[sup] / num_classes)[:, None]
     out[sup, labels[sup]] += 1.0 - beta[sup]
     return out, mask
-
-
-def dice_term(probs_t, targets: LabelField, s: ConfidenceField, beta_hat: float):
-    """Graph-level soft Dice term on built probabilities; None when all IGNORE."""
-    t, mask = smooth_targets(targets, s, beta_hat, probs_t.value.shape[1])
-    sup = np.nonzero(mask)[0]
-    if len(sup) == 0:
-        return None
-    dots = ad.rows_dot(ad.gather_rows(probs_t, sup), ad.Tensor(t[sup]))
-    return ad.sub(ad.Tensor(1.0), ad.mean_all(dots))
 
 
 @dataclass
@@ -258,52 +314,54 @@ class TemporalBatch:
     confidence_weighted: bool = True
 
 
-def loss_and_grad(leaves, outputs, targets: LabelField, s: ConfidenceField,
-                  beta_hat: float, temporal: TemporalBatch | None):
-    """L_final = L_dice + L_reg on a built graph, with gradients for every leaf.
+def loss_and_grad(params: NetworkParams, fp: ForwardPass, targets: LabelField,
+                  s: ConfidenceField, beta_hat: float, temporal: TemporalBatch | None):
+    """L_final = L_dice + L_reg on a forward pass, with gradients for every tensor.
 
-    `outputs` is `forward_graph(leaves, features)`. IGNORE targets and an
-    absent temporal batch contribute exactly zero. Returns (loss, grads
-    dict, (dice value, regularization value)).
+    `fp` is `forward_pass(params, features)`. IGNORE targets and an absent
+    temporal batch contribute exactly zero. Returns (loss, grads dict,
+    (dice value, regularization value)).
     """
     from . import temporal as temporal_mod  # deferred: temporal imports this module
 
-    probs_t, z_t, _ = outputs
-    terms = []
-    dice_value = 0.0
-    reg_value = 0.0
+    grads = {}
+    loss = None
+    dice_value = reg_value = 0.0
+    g_z = None
 
-    loss_t = dice_term(probs_t, targets, s, beta_hat)
-    if loss_t is not None:
-        terms.append(loss_t)
-        dice_value = float(loss_t.value)
+    t, mask = smooth_targets(targets, s, beta_hat, fp.probs.shape[1])
+    sup = np.nonzero(mask)[0]
+    if len(sup):
+        # soft Dice: 1 - mean over the supervised rows of <p, t>
+        t_sup = t[sup]
+        loss = 1.0 - np.einsum("nd,nd->n", fp.probs[sup], t_sup).mean()
+        dice_value = float(loss)
+        g_probs = np.zeros_like(fp.probs)
+        g_probs[sup] += (-1.0 / len(sup)) * t_sup  # sup is unique
+        g_logits = (g_probs - (g_probs * fp.probs).sum(axis=1, keepdims=True)) * fp.probs
+        g_z = _dense_backward(params, "classifier", fp.z, g_logits, grads)
 
     if temporal is not None and len(temporal.idx_t):
-        reg_t = temporal_mod.temporal_term(leaves, z_t, temporal)
-        if reg_t is not None:
-            terms.append(reg_t)
-            reg_value = float(reg_t.value)
+        term = temporal_mod.temporal_term(params, fp.z, temporal, grads)
+        if term is not None:
+            reg, g_z_reg = term
+            reg_value = float(reg)
+            loss = reg if loss is None else loss + reg
+            g_z = g_z_reg if g_z is None else g_z + g_z_reg  # two terms: order-free
 
-    grads = {name: np.zeros_like(leaf.value) for name, leaf in leaves.items()}
-    if not terms:
-        return 0.0, grads, (0.0, 0.0)
-    total = terms[0]
-    for extra in terms[1:]:
-        total = ad.add(total, extra)
-    ad.backward(total)
-    for name in grads:
-        if leaves[name].grad is not None:
-            grads[name] = leaves[name].grad
-    return float(total.value), grads, (dice_value, reg_value)
+    if g_z is not None:
+        backbone_backward(params, fp, g_z, grads)
+    grads = {name: grads[name] if name in grads else np.zeros_like(params.tensors[name])
+             for name in params.names()}
+    return (0.0 if loss is None else float(loss)), grads, (dice_value, reg_value)
 
 
 def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
                         s: ConfidenceField, beta_hat: float = 0.3,
                         temporal: TemporalBatch | None = None):
-    """`loss_and_grad` on a fresh graph of `params` over `features`."""
-    leaves = make_leaves(params)
-    return loss_and_grad(leaves, forward_graph(leaves, features), targets, s,
-                         beta_hat, temporal)
+    """`loss_and_grad` on a fresh forward pass of `params` over `features`."""
+    return loss_and_grad(params, forward_pass(params, features), targets, s, beta_hat,
+                         temporal)
 
 
 _HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",

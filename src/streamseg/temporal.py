@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as model_mod
 from .model import TemporalBatch
 
@@ -25,17 +24,35 @@ def _valid_pair_mask(e_t, q_t, e_prev, q_prev, idx_t, idx_prev):
     return (ok(e_t[idx_t]) & ok(q_t[idx_t]) & ok(e_prev[idx_prev]) & ok(q_prev[idx_prev]))
 
 
-def temporal_term(leaves, z_t, batch: TemporalBatch):
-    """Graph-level symmetric consistency loss; None when no usable pair.
+def _normalize_rows(a):
+    """(a / ||a||, ||a||) row-wise; the caller guarantees non-degenerate rows."""
+    n = np.linalg.norm(a, axis=1, keepdims=True)
+    return a / n, n
 
-    Gradients flow only through the predictor branch of each direction; the
-    encoder branch is detached. Degenerate pairs are skipped.
+
+def _predictor_grad(g_qn, qn, norm, idx, num_rows):
+    """d/d(predictor output) from d/d(its gathered, normalized rows `qn`).
+
+    The rows are scattered with `np.add.at`, so a repeated index sums.
     """
-    e_t, q_t = model_mod.heads_graph(leaves, z_t)
-    _, z_prev, _ = model_mod.forward_graph(leaves, batch.features_prev)
-    e_prev, q_prev = model_mod.heads_graph(leaves, z_prev)
+    g_q = np.zeros((num_rows, qn.shape[1]))
+    np.add.at(g_q, idx, (g_qn - (g_qn * qn).sum(axis=1, keepdims=True) * qn) / norm)
+    return g_q
 
-    keep = _valid_pair_mask(e_t.value, q_t.value, e_prev.value, q_prev.value,
+
+def temporal_term(params, z_t, batch: TemporalBatch, grads: dict):
+    """Symmetric consistency loss on the target embeddings `z_t`.
+
+    Returns None when no pair is usable; degenerate pairs are skipped.
+    Otherwise adds the parameter gradients of both frames' passes into
+    `grads` and returns (loss, d loss / d z_t). Gradients flow only through
+    the predictor branch of each direction; the encoder branch is detached.
+    """
+    heads_t = model_mod.heads(params, z_t)
+    prev = model_mod.forward_pass(params, batch.features_prev, classify=False)
+    heads_prev = model_mod.heads(params, prev.z)
+
+    keep = _valid_pair_mask(heads_t.e, heads_t.q, heads_prev.e, heads_prev.q,
                             batch.idx_t, batch.idx_prev)
     idx_t = batch.idx_t[keep]
     idx_prev = batch.idx_prev[keep]
@@ -49,11 +66,21 @@ def temporal_term(leaves, z_t, batch: TemporalBatch):
         w_fwd = np.ones(len(idx_t))
         w_bwd = np.ones(len(idx_t))
 
-    qn_t = ad.l2_normalize_rows(ad.gather_rows(q_t, idx_t))
-    qn_prev = ad.l2_normalize_rows(ad.gather_rows(q_prev, idx_prev))
-    zn_prev = ad.stop_gradient(ad.l2_normalize_rows(ad.gather_rows(e_prev, idx_prev)))
-    zn_t = ad.stop_gradient(ad.l2_normalize_rows(ad.gather_rows(e_t, idx_t)))
+    qn_t, norm_t = _normalize_rows(heads_t.q[idx_t])
+    qn_prev, norm_prev = _normalize_rows(heads_prev.q[idx_prev])
+    zn_prev, _ = _normalize_rows(heads_prev.e[idx_prev])
+    zn_t, _ = _normalize_rows(heads_t.e[idx_t])
 
-    fwd = ad.mul(ad.Tensor(w_fwd), ad.rows_dot(qn_t, zn_prev))
-    bwd = ad.mul(ad.Tensor(w_bwd), ad.rows_dot(qn_prev, zn_t))
-    return ad.neg(ad.mean_all(ad.scale(ad.add(fwd, bwd), 0.5)))
+    fwd = w_fwd * np.einsum("nd,nd->n", qn_t, zn_prev)
+    bwd = w_bwd * np.einsum("nd,nd->n", qn_prev, zn_t)
+    loss = -((fwd + bwd) * 0.5).mean()
+
+    # d loss / d (fwd + bwd): the mean's gradient, then the 0.5 scale, rounded in that order
+    g = (-1.0 / len(idx_t)) * 0.5
+    g_q_t = _predictor_grad((g * w_fwd)[:, None] * zn_prev, qn_t, norm_t, idx_t,
+                            len(heads_t.q))
+    g_q_prev = _predictor_grad((g * w_bwd)[:, None] * zn_t, qn_prev, norm_prev, idx_prev,
+                               len(heads_prev.q))
+    g_z_prev = model_mod.heads_backward(params, heads_prev, g_q_prev, grads)
+    model_mod.backbone_backward(params, prev, g_z_prev, grads)
+    return loss, model_mod.heads_backward(params, heads_t, g_q_t, grads)

@@ -1,0 +1,153 @@
+"""The hand-derived forward and backward equal the autodiff tape, byte for byte."""
+
+import numpy as np
+import pytest
+
+from streamseg import autodiff as ad
+from streamseg import model
+from streamseg.core import IGNORE, ConfidenceField, LabelField
+
+import tape_graph
+
+N_T, N_PREV, NUM_CLASSES = 40, 30, 5
+
+
+def case(seed, ignore_frac=0.3, pairs=20):
+    """Random parameters, features, targets and a temporal batch."""
+    rng = np.random.default_rng(seed)
+    params = model.NetworkParams.init(9, NUM_CLASSES, seed=seed)
+    for name, arr in params.tensors.items():
+        if name.endswith("_b"):   # non-zero biases exercise the bias gradients
+            arr[...] = rng.normal(0, 0.1, size=arr.shape)
+    feats = rng.normal(size=(N_T, 9))
+    labels = rng.integers(0, NUM_CLASSES, size=N_T)
+    labels[rng.random(N_T) < ignore_frac] = IGNORE
+    s = rng.random(N_T)
+    batch = model.TemporalBatch(
+        features_prev=rng.normal(size=(N_PREV, 9)),
+        idx_t=rng.choice(N_T, size=pairs, replace=False),
+        idx_prev=rng.choice(N_PREV, size=pairs, replace=False),
+        s_t=s, s_prev=rng.random(N_PREV))
+    return params, feats, LabelField(labels), ConfidenceField(s), batch
+
+
+def assert_bitwise(got, want):
+    loss, grads, parts = got
+    ref_loss, ref_grads, ref_parts = want
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert np.array(parts).tobytes() == np.array(ref_parts).tobytes()
+    assert list(grads) == list(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape, name
+        assert grads[name].tobytes() == ref.tobytes(), name
+
+
+def both(params, feats, labels, s, temporal, beta_hat=0.3):
+    args = (params, feats, labels, s, beta_hat, temporal)
+    return model.total_loss_and_grad(*args), tape_graph.total_loss_and_grad(*args)
+
+
+SEEDS = [0, 1, 2]
+
+
+class TestForward:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_forward_pass_equals_graph(self, seed):
+        params, feats, _, _, _ = case(seed)
+        fp = model.forward_pass(params, feats)
+        probs, z, logits = tape_graph.forward_graph(tape_graph.make_leaves(params), feats)
+        assert fp.probs.tobytes() == probs.value.tobytes()
+        assert fp.z.tobytes() == z.value.tobytes()
+        assert fp.logits.tobytes() == logits.value.tobytes()
+
+    def test_relu_keeps_negative_zeros(self):
+        s = np.array([[-2.0, -0.0, 0.0, 1.5, -1e-300]])
+        out, mask = model._relu(s)
+        assert out.tobytes() == ad.relu(ad.Tensor(s)).value.tobytes()
+        assert np.signbit(out).tolist() == [[True, True, False, False, True]]
+        assert mask.tolist() == [[False, False, False, True, False]]
+
+    def test_embedding_only_pass_skips_the_classifier(self):
+        params, feats, _, _, _ = case(0)
+        fp = model.forward_pass(params, feats, classify=False)
+        assert fp.logits is None and fp.probs is None
+        assert fp.z.tobytes() == model.forward_pass(params, feats).z.tobytes()
+
+    def test_heads_equal_graph(self):
+        params, feats, _, _, _ = case(1)
+        z = model.forward_pass(params, feats).z
+        h = model.heads(params, z)
+        e, q = tape_graph.heads_graph(tape_graph.make_leaves(params), ad.Tensor(z))
+        assert h.e.tobytes() == e.value.tobytes()
+        assert h.q.tobytes() == q.value.tobytes()
+
+
+class TestLossAndGradEqualsTape:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dice_only(self, seed):
+        params, feats, labels, s, _ = case(seed)
+        got, want = both(params, feats, labels, s, None)
+        assert want[2][0] > 0 and want[2][1] == 0.0
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_temporal_only(self, seed):
+        params, feats, _, s, batch = case(seed)
+        got, want = both(params, feats, LabelField(np.full(N_T, IGNORE)), s, batch)
+        assert want[2][0] == 0.0 and want[2][1] != 0.0
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dice_and_temporal(self, seed):
+        params, feats, labels, s, batch = case(seed)
+        got, want = both(params, feats, labels, s, batch)
+        assert want[2][0] > 0 and want[2][1] != 0.0
+        assert_bitwise(got, want)
+
+    def test_all_ignore_without_batch_is_zero(self):
+        params, feats, _, s, _ = case(3)
+        got, want = both(params, feats, LabelField(np.full(N_T, IGNORE)), s, None)
+        assert got[0] == 0.0 and got[2] == (0.0, 0.0)
+        assert all(not g.any() for g in got[1].values())
+        assert_bitwise(got, want)
+
+    def test_repeated_target_indices(self):
+        # several frame t-w points matched to one frame t point: the
+        # gradients of the repeated rows must add up
+        params, feats, labels, s, batch = case(4)
+        batch.idx_t = np.array([3, 3, 3, 7, 7, 0, 12, 3], dtype=np.int64)
+        batch.idx_prev = np.arange(8, dtype=np.int64)
+        got, want = both(params, feats, labels, s, batch)
+        assert_bitwise(got, want)
+
+    def test_unweighted_pairs(self):
+        params, feats, labels, s, batch = case(5)
+        batch.confidence_weighted = False
+        got, want = both(params, feats, labels, s, batch)
+        assert_bitwise(got, want)
+
+    def test_all_pairs_degenerate_gives_zero_reg(self):
+        params, feats, labels, s, batch = case(6)
+        # a zero encoder output cannot be normalized, so every pair is skipped
+        params.tensors["enc2_w"][...] = 0.0
+        params.tensors["enc2_b"][...] = 0.0
+        got, want = both(params, feats, labels, s, batch)
+        assert got[2][1] == 0.0
+        assert not got[1]["pred1_w"].any()
+        assert_bitwise(got, want)
+
+    def test_full_confidence_rows(self):
+        # s = 1 gives beta = 0: exact zeros in the smoothed targets, whose
+        # products with the negative Dice gradient are signed zeros
+        params, feats, labels, _, batch = case(7, ignore_frac=0.0)
+        ones = ConfidenceField(np.ones(N_T))
+        batch.s_t = ones.values
+        got, want = both(params, feats, labels, ones, batch)
+        assert_bitwise(got, want)
+
+    def test_single_supervised_row(self):
+        params, feats, _, s, batch = case(8)
+        labels = np.full(N_T, IGNORE)
+        labels[11] = 2
+        got, want = both(params, feats, LabelField(labels), s, batch)
+        assert_bitwise(got, want)

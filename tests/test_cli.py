@@ -79,11 +79,14 @@ class TestPipeline:
         dumped = list((pipeline / "pred" / "seq").glob("*.label"))
         assert len(dumped) == 6
 
-    def test_eval_scores_dumped_predictions(self, pipeline, capsys):
+    def test_eval_scores_dumped_predictions(self, pipeline, tmp_path, capsys):
+        assert cli.main(["adapt", str(pipeline / "seq"),
+                         "--checkpoint", str(pipeline / "ckpt.bin"),
+                         "--dump-pred", str(tmp_path / "pred")]) == 0
         # identity mapping: canonical ids on both sides
-        cmap = pipeline / "map.txt"
+        cmap = tmp_path / "map.txt"
         cmap.write_text("\n".join(f"{i} {i}" for i in range(7)) + "\n")
-        rc = cli.main(["eval", str(pipeline / "pred" / "seq"), str(pipeline / "seq"),
+        rc = cli.main(["eval", str(tmp_path / "pred" / "seq"), str(pipeline / "seq"),
                        "--class-map", str(cmap)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -107,6 +110,12 @@ class TestPipeline:
                        "--checkpoint", str(pipeline / "ckpt.bin"), "--window", "0"])
         assert rc == 1
         assert "error: window" in capsys.readouterr().err
+
+    def test_alpha_of_one_is_an_error_line(self, pipeline, capsys):
+        rc = cli.main(["adapt", str(pipeline / "seq"),
+                       "--checkpoint", str(pipeline / "ckpt.bin"), "--alpha", "1.0"])
+        assert rc == 1
+        assert "error: alpha" in capsys.readouterr().err
 
 
 class TestErrorPaths:

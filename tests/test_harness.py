@@ -28,7 +28,7 @@ def evaluate_iou(pred, gt, num_classes):
 
 
 def calls_per_frame(monkeypatch, frames, run):
-    """K-NN queries and forward graphs made while each frame is current.
+    """K-NN queries and forward passes made while each frame is current.
 
     `run(source)` is called with a re-iterable source over `frames`.
     """
@@ -45,7 +45,7 @@ def calls_per_frame(monkeypatch, frames, run):
                 monkeypatch.setattr(module, fn.__name__, wrapped)
 
     count("knn", spatial.knn_batch)
-    count("forward", model.forward_graph)
+    count("forward", model.forward_pass)
     per_frame = []
 
     class Frames:
@@ -121,6 +121,8 @@ class TestIouMetrics:
 class TestAdaptConfig:
     @pytest.mark.parametrize("field, value", [
         ("window", 0), ("k", -1), ("k_feat", 2), ("lam", 100.0), ("tau", 0.0), ("eps", 0.0),
+        ("alpha", 1.0), ("alpha", -0.1), ("beta_hat", 3.0), ("beta_hat", -0.1),
+        ("lr", -1.0), ("wd", -1e-5),
     ])
     def test_invalid_value_rejected_up_front(self, field, value):
         with pytest.raises(ConfigInvalid, match=f"^{field} "):
@@ -128,6 +130,8 @@ class TestAdaptConfig:
 
     def test_boundary_values_accepted(self):
         harness.AdaptConfig(window=1, k=0, k_feat=3, lam=0.0)
+        harness.AdaptConfig(alpha=0.0, beta_hat=0.0, lr=0.0, wd=0.0)
+        harness.AdaptConfig(beta_hat=1.0)
 
 
 class TestAdaptFrame:
@@ -164,6 +168,34 @@ class TestAdaptFrame:
             _, _, state = harness.adapt_frame(state, f)
             assert len(state.ring_buffer) <= 3
         assert state.ring_buffer[-1].frame.frame_id == frames[-1].frame_id
+
+
+class TestFiniteGuard:
+    @pytest.mark.parametrize("poison", ["loss", "grad"])
+    def test_non_finite_update_is_skipped(self, monkeypatch, poison):
+        frames = tiny_stream(2)
+        state = harness.AdaptationState.init(tiny_params(), harness.AdaptConfig())
+        real = harness.loss_and_grad
+
+        def poisoned(*args):
+            loss, grads, parts = real(*args)
+            if poison == "loss":
+                return float("nan"), grads, parts
+            grads["embed_w"] = grads["embed_w"].copy()
+            grads["embed_w"][0, 0] = np.nan
+            return loss, grads, parts
+
+        monkeypatch.setattr(harness, "loss_and_grad", poisoned)
+        before = state.target_params.copy()
+        moments = [{k: v.copy() for k, v in d.items()}
+                   for d in (state.optimizer.m, state.optimizer.v)]
+        pred, _, state = harness.adapt_frame(state, frames[0])
+        assert len(pred) == frames[0].num_points
+        assert state.optimizer.step == 0
+        for name in before.names():
+            assert state.target_params.tensors[name].tobytes() == before.tensors[name].tobytes()
+            assert state.optimizer.m[name].tobytes() == moments[0][name].tobytes()
+            assert state.optimizer.v[name].tobytes() == moments[1][name].tobytes()
 
 
 class TestRunTta:

@@ -5,7 +5,6 @@ import pytest
 
 from streamseg.core import ConfidenceField, Frame, IGNORE, LabelField, ProbabilityField
 from streamseg.errors import MalformedRecord, NoGroundTruth, ShapeMismatch
-from streamseg import autodiff as ad
 from streamseg import model
 from streamseg.spatial import build_index, local_geometric_features
 
@@ -67,9 +66,9 @@ class TestForward:
     def test_heads_shapes(self):
         params = random_params()
         z = np.random.default_rng(2).normal(size=(8, 32))
-        e, q = model.heads_graph(model.make_leaves(params), ad.Tensor(z))
-        assert e.value.shape == (8, 32)
-        assert q.value.shape == (8, 32)
+        h = model.heads(params, z)
+        assert h.e.shape == (8, 32)
+        assert h.q.shape == (8, 32)
 
 
 class TestNormalizeFeatures:

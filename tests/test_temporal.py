@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from streamseg.core import IGNORE, ConfidenceField, LabelField
-from streamseg import autodiff as ad
 from streamseg import model
 from streamseg.spatial import CorrespondenceSet
 
@@ -78,8 +77,8 @@ class TestTemporalLoss:
                                       make_pairs(len(feats_t)), ones, ones,
                                       confidence_weighted=False)
         _, z, _ = model.forward(params, feats_t)
-        e_t, q_t = model.heads_graph(model.make_leaves(params), ad.Tensor(z))
-        e, q = e_t.value, q_t.value
+        h = model.heads(params, z)
+        e, q = h.e, h.q
         ref = np.mean([negative_cosine(q[i], e[i]) for i in range(len(q))])
         assert loss == pytest.approx(ref, abs=1e-12)
 
