@@ -178,10 +178,10 @@ class ClassMap:
         return len(self.canonical_names)
 
     @classmethod
-    def identity(cls, num_classes: int, names=None) -> "ClassMap":
-        if names is None:
-            names = tuple(f"class{i}" for i in range(num_classes))
-        return cls(tuple(names), {i: i for i in range(num_classes)})
+    def identity(cls, num_classes: int) -> "ClassMap":
+        """Identity map over classes named class0, class1, ..."""
+        return cls(tuple(f"class{i}" for i in range(num_classes)),
+                   {i: i for i in range(num_classes)})
 
     @classmethod
     def canonical(cls) -> "ClassMap":
@@ -189,7 +189,7 @@ class ClassMap:
         return cls(CANONICAL_CLASSES, {i: i for i in range(len(CANONICAL_CLASSES))})
 
     @classmethod
-    def from_file(cls, path, canonical_names=CANONICAL_CLASSES) -> "ClassMap":
+    def from_file(cls, path) -> "ClassMap":
         """Load a plain-text two-column table "raw_id canonical_id".
 
         IGNORE is spelled as -1; lines starting with '#' are comments. A
@@ -212,7 +212,7 @@ class ClassMap:
             if raw in table:
                 raise ConfigInvalid(f"{path}:{lineno}: raw id {raw} mapped twice")
             table[raw] = canon
-        return cls(tuple(canonical_names), table)
+        return cls(CANONICAL_CLASSES, table)
 
 
 def remap_labels(raw, class_map: ClassMap) -> LabelField:

@@ -9,10 +9,11 @@ The network is a small fully connected stack applied pointwise:
     encoder out -> 16 -> 32 (ReLU hidden)     predictor head
 
 All parameters are 64-bit; forward/backward are pure given a parameter
-snapshot. The backward is derived by hand, layer by layer, and reproduces
-the arithmetic of the reverse-mode tape in `autodiff` op for op, so its
-gradients equal the tape's bitwise. Checkpoints are flat binary records
-with magic "HGL1".
+snapshot. This is the only module that knows the layers; `temporal` sees
+only head outputs. The backward is derived by hand, layer by layer, and
+reproduces the arithmetic of the reverse-mode tape in `autodiff` op for
+op, so its gradients equal the tape's bitwise. Checkpoints are flat binary
+records with magic "HGL1".
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField
+from . import spatial
+from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField
 from .errors import IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
+from .temporal import TemporalBatch, temporal_term
 
 _MAGIC = b"HGL1"
 
@@ -302,18 +305,6 @@ def adam_step(params: NetworkParams, grads: dict, state: OptimizerState,
     return params, state
 
 
-@dataclass
-class TemporalBatch:
-    """Inputs for the cross-frame consistency term of the total loss."""
-
-    features_prev: np.ndarray
-    idx_t: np.ndarray
-    idx_prev: np.ndarray
-    s_t: np.ndarray
-    s_prev: np.ndarray
-    confidence_weighted: bool = True
-
-
 def loss_and_grad(params: NetworkParams, fp: ForwardPass, targets: LabelField,
                   s: ConfidenceField, beta_hat: float, temporal: TemporalBatch | None):
     """L_final = L_dice + L_reg on a forward pass, with gradients for every tensor.
@@ -322,8 +313,6 @@ def loss_and_grad(params: NetworkParams, fp: ForwardPass, targets: LabelField,
     temporal batch contribute exactly zero. Returns (loss, grads dict,
     (dice value, regularization value)).
     """
-    from . import temporal as temporal_mod  # deferred: temporal imports this module
-
     grads = {}
     loss = None
     dice_value = reg_value = 0.0
@@ -342,12 +331,19 @@ def loss_and_grad(params: NetworkParams, fp: ForwardPass, targets: LabelField,
         g_z = _dense_backward(params, "classifier", fp.z, g_logits, grads)
 
     if temporal is not None and len(temporal.idx_t):
-        term = temporal_mod.temporal_term(params, fp.z, temporal, grads)
+        heads_t = heads(params, fp.z)
+        prev = forward_pass(params, temporal.features_prev, classify=False)
+        heads_prev = heads(params, prev.z)
+        term = temporal_term(heads_t, heads_prev, temporal)
         if term is not None:
-            reg, g_z_reg = term
+            reg = term[0]
+            backbone_backward(params, prev, heads_backward(params, heads_prev, term[2], grads),
+                              grads)
+            g_z_reg = heads_backward(params, heads_t, term[1], grads)
             reg_value = float(reg)
             loss = reg if loss is None else loss + reg
             g_z = g_z_reg if g_z is None else g_z + g_z_reg  # two terms: order-free
+        del heads_t, prev, heads_prev, term  # nothing outlives its backward
 
     if g_z is not None:
         backbone_backward(params, fp, g_z, grads)
@@ -364,8 +360,6 @@ def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
                          temporal)
 
 
-_HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",
-               "pred1_w", "pred1_b", "pred2_w", "pred2_b")
 _WARMUP_JITTER = 0.05
 #: Label smoothing ceiling of the supervised source fit.
 _PRETRAIN_BETA_HAT = 0.3
@@ -415,9 +409,6 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
         history.append(float(np.mean(losses)))
 
     if head_epochs > 0 and epochs > 0:
-        from . import spatial  # deferred: only needed for the warm-up pairs
-        from .core import Frame
-
         def jittered(frame, rng, keep_frac):
             # sensor-noise + sparsity augmentation so the heads meet
             # realistic frame-to-frame discrepancies before they steer
@@ -448,13 +439,14 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                         idx_t=pairs.idx_t, idx_prev=pairs.idx_prev,
                         s_t=np.ones(frame_t.num_points),
                         s_prev=np.ones(frame_prev.num_points))
-                    _, grads, _ = total_loss_and_grad(
-                        params, feats[t], LabelField(np.full(frame_t.num_points, IGNORE)),
-                        ConfidenceField(np.ones(frame_t.num_points)),
-                        _PRETRAIN_BETA_HAT, temporal=batch)
-                    for name in grads:
-                        if name not in _HEAD_NAMES:
-                            grads[name][...] = 0.0
+                    heads_t = heads(params, forward_pass(params, feats[t], classify=False).z)
+                    heads_prev = heads(params, forward_pass(params, feats[t - window],
+                                                            classify=False).z)
+                    term = temporal_term(heads_t, heads_prev, batch)
+                    grads = {}   # the heads' only: adam_step treats the rest as zero
+                    if term is not None:
+                        heads_backward(params, heads_prev, term[2], grads)
+                        heads_backward(params, heads_t, term[1], grads)
                     params, head_state = adam_step(params, grads, head_state,
                                                    lr=lr, wd=0.0)
     return params, history

@@ -76,12 +76,8 @@ def _exact_rerank(points, queries, cand_idx):
     """Sort candidate indices per row by (exact distance, original index)."""
     diff = points[cand_idx] - queries[:, None, :]
     d = np.sqrt(np.einsum("qkd,qkd->qk", diff, diff))
-    # stable two-pass sort: secondary key (index) first, then distance
-    o1 = np.argsort(cand_idx, axis=1, kind="stable")
-    i1 = np.take_along_axis(cand_idx, o1, axis=1)
-    d1 = np.take_along_axis(d, o1, axis=1)
-    o2 = np.argsort(d1, axis=1, kind="stable")
-    return np.take_along_axis(i1, o2, axis=1), np.take_along_axis(d1, o2, axis=1)
+    order = np.lexsort((cand_idx, d), axis=1)   # last key (distance) is primary
+    return np.take_along_axis(cand_idx, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
 def knn_batch(index: SpatialIndex, queries, k: int):

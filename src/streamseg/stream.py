@@ -79,16 +79,28 @@ class ShiftConfig:
 
 
 def _parse_kv_file(path):
+    """{key: (value, "path:line")} of a key=value file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise IoFailure(str(e)) from e
     pairs = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        pairs[key.strip()] = (value.strip(), f"{path}:{lineno}")
     return pairs
+
+
+def _number(kind, value, where):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigInvalid(f"{where}: expected {kind.__name__}, got {value!r}") from None
 
 
 def load_scene_config(path) -> SceneConfig:
@@ -96,10 +108,10 @@ def load_scene_config(path) -> SceneConfig:
     pairs = _parse_kv_file(path)
     kwargs = {}
     types = {f.name: f.type for f in dc_fields(SceneConfig)}
-    for key, value in pairs.items():
+    for key, (value, where) in pairs.items():
         if key not in types:
-            raise ConfigInvalid(f"{path}: unknown scene key '{key}'")
-        kwargs[key] = int(value) if key in ("seed", "frames") else float(value)
+            raise ConfigInvalid(f"{where}: unknown scene key '{key}'")
+        kwargs[key] = _number(int if key in ("seed", "frames") else float, value, where)
     cfg = SceneConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -113,23 +125,23 @@ def load_shift_config(path) -> ShiftConfig:
     pairs = _parse_kv_file(path)
     dropout = [0.0] * _NUM_CLASSES
     kwargs = {}
-    for key, value in pairs.items():
+    for key, (value, where) in pairs.items():
         if key == "dropout":
-            probs = [float(v) for v in value.split(",")]
+            probs = [_number(float, v, where) for v in value.split(",")]
             if len(probs) != _NUM_CLASSES:
-                raise ConfigInvalid(f"{path}: dropout needs {_NUM_CLASSES} values")
+                raise ConfigInvalid(f"{where}: dropout needs {_NUM_CLASSES} values")
             dropout = probs
         elif key.startswith("dropout_"):
             name = key[len("dropout_"):]
             if name not in CANONICAL_CLASSES:
-                raise ConfigInvalid(f"{path}: unknown class '{name}'")
-            dropout[CANONICAL_CLASSES.index(name)] = float(value)
+                raise ConfigInvalid(f"{where}: unknown class '{name}'")
+            dropout[CANONICAL_CLASSES.index(name)] = _number(float, value, where)
         elif key in ("jitter_sigma", "density_factor", "sensor_height_offset"):
-            kwargs[key] = float(value)
+            kwargs[key] = _number(float, value, where)
         elif key == "seed":
-            kwargs[key] = int(value)
+            kwargs[key] = _number(int, value, where)
         else:
-            raise ConfigInvalid(f"{path}: unknown shift key '{key}'")
+            raise ConfigInvalid(f"{where}: unknown shift key '{key}'")
     cfg = ShiftConfig(class_dropout=tuple(dropout), **kwargs)
     cfg.validate()
     return cfg
@@ -306,11 +318,14 @@ def write_label_file(path, labels) -> None:
 
 
 def read_label_file(path) -> np.ndarray:
+    """Read a .label file; a size that is not a whole number of records is malformed."""
     try:
-        raw = np.fromfile(path, dtype="<u4")
+        blob = Path(path).read_bytes()
     except OSError as e:
         raise IoFailure(str(e)) from e
-    return (raw & 0xFFFF).astype(np.int64)
+    if len(blob) % 4 != 0:
+        raise MalformedRecord(f"{path}: size {len(blob)} not divisible by 4")
+    return (np.frombuffer(blob, dtype="<u4") & 0xFFFF).astype(np.int64)
 
 
 def write_sequence(frames, directory) -> None:
@@ -358,16 +373,17 @@ def read_sequence(directory):
         record = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)
         points = record[:, :3].astype(np.float64)
 
-        values = [float(v) for v in pose_rows[i].split()]
+        try:
+            values = [float(v) for v in pose_rows[i].split()]
+        except ValueError:
+            values = []
         if len(values) != 12:
-            raise MalformedRecord(f"{pose_path}: line {i + 1} must hold 12 values")
+            raise MalformedRecord(f"{pose_path}: line {i + 1} must hold 12 numbers")
         pose = np.vstack([np.array(values).reshape(3, 4), [0.0, 0.0, 0.0, 1.0]])
 
         labels = None
         label_path = bin_path.with_suffix(".label")
         if label_path.exists():
-            if label_path.stat().st_size % 4 != 0:
-                raise MalformedRecord(f"{label_path}: size not divisible by 4")
             labels = read_label_file(label_path)
             if len(labels) != len(points):
                 raise MalformedRecord(f"{label_path}: label count != point count")

@@ -1,19 +1,31 @@
-"""Cross-frame feature consistency with stop-gradient.
+"""Cross-frame feature consistency with stop-gradient, on head outputs.
 
-Corresponding points of frames t and t-w are pushed through the encoder and
-predictor heads; the predictor output of one frame is pulled toward the
-(detached) encoder output of the other, weighted by the *other* frame's
-cached confidence so low-confidence features align to high-confidence ones.
+Corresponding points of frames t and t-w have passed through the encoder
+and predictor heads, which `model` runs; the predictor output of one frame
+is pulled toward the (detached) encoder output of the other, weighted by
+the *other* frame's cached confidence so low-confidence features align to
+high-confidence ones. Only this objective and its gradient live here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from . import model as model_mod
-from .model import TemporalBatch
-
 _NORM_EPS = 1e-12
+
+
+@dataclass
+class TemporalBatch:
+    """Inputs for the cross-frame consistency term of the total loss."""
+
+    features_prev: np.ndarray
+    idx_t: np.ndarray
+    idx_prev: np.ndarray
+    s_t: np.ndarray
+    s_prev: np.ndarray
+    confidence_weighted: bool = True
 
 
 def _valid_pair_mask(e_t, q_t, e_prev, q_prev, idx_t, idx_prev):
@@ -40,18 +52,15 @@ def _predictor_grad(g_qn, qn, norm, idx, num_rows):
     return g_q
 
 
-def temporal_term(params, z_t, batch: TemporalBatch, grads: dict):
-    """Symmetric consistency loss on the target embeddings `z_t`.
+def temporal_term(heads_t, heads_prev, batch: TemporalBatch):
+    """Symmetric consistency loss between two frames' head outputs.
 
-    Returns None when no pair is usable; degenerate pairs are skipped.
-    Otherwise adds the parameter gradients of both frames' passes into
-    `grads` and returns (loss, d loss / d z_t). Gradients flow only through
-    the predictor branch of each direction; the encoder branch is detached.
+    `heads_t` and `heads_prev` carry the encoder outputs `e` and predictor
+    outputs `q` of frames t and t-w. Returns None when no pair is usable;
+    degenerate pairs are skipped. Otherwise returns (loss, d loss / d q_t,
+    d loss / d q_prev). Gradients flow only through the predictor branch of
+    each direction; the encoder branch is detached.
     """
-    heads_t = model_mod.heads(params, z_t)
-    prev = model_mod.forward_pass(params, batch.features_prev, classify=False)
-    heads_prev = model_mod.heads(params, prev.z)
-
     keep = _valid_pair_mask(heads_t.e, heads_t.q, heads_prev.e, heads_prev.q,
                             batch.idx_t, batch.idx_prev)
     idx_t = batch.idx_t[keep]
@@ -81,6 +90,4 @@ def temporal_term(params, z_t, batch: TemporalBatch, grads: dict):
                             len(heads_t.q))
     g_q_prev = _predictor_grad((g * w_bwd)[:, None] * zn_t, qn_prev, norm_prev, idx_prev,
                                len(heads_prev.q))
-    g_z_prev = model_mod.heads_backward(params, heads_prev, g_q_prev, grads)
-    model_mod.backbone_backward(params, prev, g_z_prev, grads)
-    return loss, model_mod.heads_backward(params, heads_t, g_q_t, grads)
+    return loss, g_q_t, g_q_prev

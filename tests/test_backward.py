@@ -8,6 +8,7 @@ from streamseg import model
 from streamseg.core import IGNORE, ConfidenceField, LabelField
 
 import tape_graph
+from test_model import HEAD_NAMES, toy_features, toy_sequence
 
 N_T, N_PREV, NUM_CLASSES = 40, 30, 5
 
@@ -151,3 +152,45 @@ class TestLossAndGradEqualsTape:
         labels[11] = 2
         got, want = both(params, feats, LabelField(labels), s, batch)
         assert_bitwise(got, want)
+
+
+class TestHeadWarmupEqualsTape:
+    def test_warmup_gradient_is_the_tapes_on_the_heads_only(self, monkeypatch):
+        # record the first warm-up pair: its two embedding-only passes, its
+        # temporal batch, and the parameters and gradient handed to Adam
+        passes, batches, steps = [], [], []
+        forward_pass, temporal_term, adam_step = (model.forward_pass, model.temporal_term,
+                                                  model.adam_step)
+
+        def record_pass(params, features, classify=True):
+            if not classify:
+                passes.append(features)
+            return forward_pass(params, features, classify)
+
+        def record_term(heads_t, heads_prev, batch):
+            batches.append(batch)
+            return temporal_term(heads_t, heads_prev, batch)
+
+        def record_step(params, grads, state, **kwargs):
+            steps.append((params.copy(), grads))
+            return adam_step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(model, "forward_pass", record_pass)
+        monkeypatch.setattr(model, "temporal_term", record_term)
+        monkeypatch.setattr(model, "adam_step", record_step)
+        seq = toy_sequence(2, frames=7)
+        model.pretrain_source([seq], epochs=1, seed=3, feature_fn=toy_features,
+                              num_classes=2, head_epochs=1, window=3)
+
+        params, grads = steps[len(seq)]          # the first step after the supervised epoch
+        feats_t, feats_prev = passes[:2]
+        batch = batches[0]
+        assert batch.features_prev is feats_prev and len(batch.idx_t)
+        n = len(feats_t)
+        _, want, (_, reg) = tape_graph.total_loss_and_grad(
+            params, feats_t, LabelField(np.full(n, IGNORE)), ConfidenceField(np.ones(n)),
+            temporal=batch)
+        assert reg != 0.0
+        assert sorted(grads) == sorted(HEAD_NAMES)
+        for name in HEAD_NAMES:
+            assert grads[name].tobytes() == want[name].tobytes(), name

@@ -9,11 +9,13 @@ stream, reading `perfbench/` without changing it.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from streamseg import harness
+from streamseg import harness, model
 
 from test_harness import tiny_params, tiny_stream
+from test_model import toy_features, toy_sequence
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,3 +40,20 @@ def test_traced_run_equals_plain_run(tracer):
     assert sum(c["spatial.knn_calls"] for c in tr.counts.values()) > 0
     assert sum(c["temporal.pairs"] for c in tr.counts.values()) > 0
     assert tr.spans
+
+
+def test_traced_pretrain_with_warmup_equals_plain_call(tracer):
+    seq = toy_sequence(2, frames=7)
+    kwargs = dict(epochs=1, seed=3, feature_fn=toy_features, num_classes=2,
+                  head_epochs=1, window=3)
+    plain, plain_history = model.pretrain_source([seq], **kwargs)
+    with tracer.Tracer() as tr:
+        traced, traced_history = model.pretrain_source([seq], **kwargs)
+
+    assert np.array(traced_history).tobytes() == np.array(plain_history).tobytes()
+    for name in plain.names():
+        assert traced.tensors[name].tobytes() == plain.tensors[name].tobytes(), name
+    # 7 supervised steps and one per warm-up pair (frames 3-6 against 0-3)
+    steps = len(seq) + (len(seq) - 3)
+    assert sum(c["model.adam_steps"] for c in tr.counts.values()) == steps
+    assert sum(span[0] == "model.adam_step" for span in tr.spans) == steps

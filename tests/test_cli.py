@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from streamseg import cli, harness, stream
+from streamseg import cli, harness, model, stream
+from streamseg.core import Frame
 
 
 TINY_SCENE = """\
@@ -190,3 +191,42 @@ class TestErrorPaths:
         assert cli.main(["eval", str(pred), str(gt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(pred) in err and str(gt) in err
+
+    def test_eval_of_a_torn_label_file_is_an_error_line(self, tmp_path, capsys):
+        # 3 labels plus 2 stray bytes: not a whole number of uint32 records
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        stream.write_label_file(gt / "000000.label", np.zeros(3, dtype=np.int64))
+        torn = pred / "000000.label"
+        torn.write_bytes((gt / "000000.label").read_bytes() + b"\x00\x00")
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(torn) in err
+
+    def test_non_numeric_scene_value_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("seed = 1\nframes=ten\n")
+        assert cli.main(["generate", str(tmp_path / "seq"), "--scene", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{cfg}:2" in err
+
+    def test_missing_scene_file_is_an_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "none.cfg"
+        assert cli.main(["generate", str(tmp_path / "seq"), "--scene", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_non_numeric_pose_names_the_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        frames = [Frame(i, rng.normal(size=(30, 3)), np.eye(4)) for i in range(2)]
+        seq = tmp_path / "seq"
+        stream.write_sequence(frames, seq)
+        poses = (seq / "poses.txt").read_text().splitlines()
+        poses[1] = poses[1].replace("1", "x", 1)
+        (seq / "poses.txt").write_text("\n".join(poses) + "\n")
+        ckpt = tmp_path / "ckpt.bin"
+        model.NetworkParams.init(9, 7).save(ckpt)
+        assert cli.main(["adapt", str(seq), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "poses.txt: line 2" in err

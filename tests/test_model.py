@@ -251,6 +251,11 @@ class TestCheckpoint:
             model.NetworkParams.load(path)
 
 
+#: The encoder and predictor heads: the only tensors the head warm-up trains.
+HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",
+              "pred1_w", "pred1_b", "pred2_w", "pred2_b")
+
+
 def toy_sequence(seed, frames=8, n=60):
     """Short labeled sequence of two separable clusters."""
     rng = np.random.default_rng(seed)
@@ -294,10 +299,28 @@ class TestPretrain:
                                         num_classes=2, head_epochs=1, window=3)
         for name in base.names():
             same = np.array_equal(base.tensors[name], warm.tensors[name])
-            if name in model._HEAD_NAMES:
+            if name in HEAD_NAMES:
                 assert not same, f"{name} should move during warm-up"
             else:
                 assert same, f"{name} must stay frozen during warm-up"
+
+    def test_head_warmup_runs_no_trunk_backward(self, monkeypatch):
+        calls = []
+        original = model.backbone_backward
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(model, "backbone_backward", counted)
+        seq = toy_sequence(2, frames=7)
+        counts = []
+        for head_epochs in (0, 1):
+            calls.clear()
+            model.pretrain_source([seq], epochs=1, seed=3, feature_fn=toy_features,
+                                  num_classes=2, head_epochs=head_epochs, window=3)
+            counts.append(len(calls))
+        assert counts == [7, 7]   # one per supervised step, none for the 4 warm-up pairs
 
     def test_requires_ground_truth(self):
         with pytest.raises(NoGroundTruth):
