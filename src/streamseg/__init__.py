@@ -12,7 +12,7 @@ from .core import (
     remap_labels,
     validate_frame,
 )
-from .harness import AdaptConfig, AdaptationState, RunReport, adapt_frame, run_tta
+from .harness import AdaptConfig, AdaptationState, RunReport, run_tta
 from .model import NetworkParams, OptimizerState
 from .prototypes import PrototypeBank
 from .spatial import SpatialIndex, build_index, match_correspondences
@@ -22,7 +22,7 @@ __all__ = [
     "CANONICAL_CLASSES", "IGNORE", "ClassMap", "ConfidenceField", "Frame",
     "LabelField", "ProbabilityField", "SelectionMask", "remap_labels",
     "validate_frame", "AdaptConfig", "AdaptationState", "RunReport",
-    "adapt_frame", "run_tta", "NetworkParams", "OptimizerState",
+    "run_tta", "NetworkParams", "OptimizerState",
     "PrototypeBank", "SpatialIndex", "build_index",
     "match_correspondences", "SceneConfig", "ShiftConfig", "generate_sequence",
     "read_sequence", "write_sequence",

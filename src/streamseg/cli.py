@@ -15,19 +15,24 @@ from .errors import EmptyInput, LengthMismatch, StreamSegError
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
-    p.add_argument("--k", type=int, default=10,
+    defaults = harness.AdaptConfig
+    p.add_argument("--k", type=int, default=defaults.k,
                    help="K-NN size for label aggregation (0 disables it)")
-    p.add_argument("--lambda", dest="lam", type=float, default=70.0,
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                    help="per-class selection percentile")
-    p.add_argument("--alpha", type=float, default=0.99, help="prototype EMA factor")
-    p.add_argument("--window", type=int, default=5, help="temporal gap w in frames")
-    p.add_argument("--tau", type=float, default=0.2, help="correspondence threshold (m)")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--wd", type=float, default=1e-5)
-    p.add_argument("--eps", type=float, default=3e-3,
+    p.add_argument("--alpha", type=float, default=defaults.alpha, help="prototype EMA factor")
+    p.add_argument("--window", type=int, default=defaults.window,
+                   help="temporal gap w in frames")
+    p.add_argument("--tau", type=float, default=defaults.tau,
+                   help="correspondence threshold (m)")
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--wd", type=float, default=defaults.wd)
+    p.add_argument("--eps", type=float, default=defaults.eps,
                    help="Adam denominator floor during adaptation")
-    p.add_argument("--beta-hat", type=float, default=0.3, help="label smoothing ceiling")
-    p.add_argument("--k-feat", type=int, default=20, help="feature neighborhood size")
+    p.add_argument("--beta-hat", type=float, default=defaults.beta_hat,
+                   help="label smoothing ceiling")
+    p.add_argument("--k-feat", type=int, default=defaults.k_feat,
+                   help="feature neighborhood size")
 
 
 def _add_module_switches(p: argparse.ArgumentParser):
@@ -94,8 +99,6 @@ def cmd_adapt(args) -> int:
                                         class_map=class_map, dump_dir=dump,
                                         state=state if args.continual else None)
         reports.append((seq_dir, report))
-        if not args.continual:
-            state = None
 
     for seq_dir, report in reports:
         print(f"== {seq_dir} ==")
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="CSV report output path")
     p.add_argument("--dump-pred", help="directory for per-frame .label predictions")
     p.add_argument("--continual", action="store_true",
-                   help="carry state across sequences without reset")
+                   help="carry the adapted model across sequences without reset")
     _add_adapt_flags(p)
     _add_module_switches(p)
     p.set_defaults(fn=cmd_adapt)

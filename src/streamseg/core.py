@@ -35,6 +35,17 @@ CANONICAL_CLASSES = (
     "vegetation",
 )
 
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; one that cannot be read or decoded is an IoFailure."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise IoFailure(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -195,12 +206,8 @@ class ClassMap:
         IGNORE is spelled as -1; lines starting with '#' are comments. A
         malformed table raises ConfigInvalid naming the line.
         """
-        try:
-            text = Path(path).read_text()
-        except OSError as e:
-            raise IoFailure(str(e)) from e
         table = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

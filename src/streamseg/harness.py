@@ -12,6 +12,7 @@ single optimizer step on the combined objective.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -78,24 +79,20 @@ class _BufferEntry:
 
 @dataclass
 class AdaptationState:
-    """Mutable state threaded through the sequential adaptation loop."""
+    """The adapted model: what a continued run carries over from the last one."""
 
-    source_params: NetworkParams
     target_params: NetworkParams
     optimizer: OptimizerState
     bank: prototypes.PrototypeBank
-    ring_buffer: list
     config: AdaptConfig
 
     @classmethod
     def init(cls, source_params: NetworkParams, config: AdaptConfig) -> "AdaptationState":
         target = source_params.copy()
         return cls(
-            source_params=source_params.copy(),
             target_params=target,
             optimizer=OptimizerState.init(target),
             bank=prototypes.PrototypeBank.empty(source_params.num_classes, 32),
-            ring_buffer=[],
             config=config,
         )
 
@@ -199,7 +196,7 @@ def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
     always scores the model adapted to the previous frame.
     """
     cfg = state.config
-    num_classes = state.source_params.num_classes
+    num_classes = state.target_params.num_classes
 
     # one forward pass of the target model serves the evaluation, the prototypes and the loss
     fp = forward_pass(state.target_params, source.features)
@@ -228,27 +225,6 @@ def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
             state.target_params, grads, state.optimizer, lr=cfg.lr, wd=cfg.wd,
             eps=cfg.eps)
     return eval_pred
-
-
-def _remember(history: list, source: SourceFrame, window: int):
-    """Append the frame to the window history and trim it to `window` entries."""
-    history.append(_BufferEntry(source.frame, source.features, source.scores.values))
-    while len(history) > window:
-        history.pop(0)
-
-
-def adapt_frame(state: AdaptationState, frame: Frame):
-    """Evaluate the incoming frame, then run one adaptation update.
-
-    The source stage followed by the target stage. Returns (eval_pred,
-    source_pred, state): the adapted model's prediction made before the
-    update, and the frozen source model's prediction.
-    """
-    source = source_stage(state.source_params, frame, state.config, state.ring_buffer,
-                          match=state.config.use_tgr)
-    eval_pred = target_stage(state, source)
-    _remember(state.ring_buffer, source, state.config.window)
-    return eval_pred, source.source_pred, state
 
 
 @dataclass
@@ -334,15 +310,17 @@ class _Row:
         )
 
 
-def _run_rows(frames, rows: list, history: list, class_map: ClassMap) -> list:
-    """One pass over `frames`: per frame, one source stage, then each row's target stage.
+def _run_rows(frames, source_params: NetworkParams, rows: list, class_map: ClassMap) -> list:
+    """One pass over one stream: per frame, one source stage, then each row's target stage.
 
     The rows differ only in their module switches, so they share the source
-    stage, the window `history` and the source-only score. A row's frame time
-    is the source stage plus its own target stage. Returns one RunReport per row.
+    stage, the window history and the source-only score. The history starts
+    empty: frames are matched only within this stream. A row's frame time is
+    the source stage plus its own target stage. Returns one RunReport per row.
     """
-    first = rows[0].state
+    config = rows[0].state.config
     match = any(row.state.config.use_tgr for row in rows)
+    history = deque(maxlen=config.window)
     source_total = empty_confusion(class_map.num_classes)
     for frame in frames:
         gt = None
@@ -350,13 +328,13 @@ def _run_rows(frames, rows: list, history: list, class_map: ClassMap) -> list:
             gt = remap_labels(frame.gt_labels, class_map)
 
         start = time.perf_counter()
-        source = source_stage(first.source_params, frame, first.config, history, match)
+        source = source_stage(source_params, frame, config, history, match)
         source_time = time.perf_counter() - start
         for row in rows:
             start = time.perf_counter()
             eval_pred = target_stage(row.state, source)
             row.record(frame, eval_pred, gt, source_time + time.perf_counter() - start)
-        _remember(history, source, first.config.window)
+        history.append(_BufferEntry(source.frame, source.features, source.scores.values))
 
         if gt is not None:
             source_total, _ = accumulate_confusion(source_total, source.source_pred, gt)
@@ -382,8 +360,9 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
 
     Returns (RunReport, final state). The frozen source model's predictions
     are scored alongside to report the improvement. `state` may be supplied
-    to continue a previous run (continual mode); `config` then replaces its
-    config for every stage. `dump_dir` writes predictions in .label format.
+    to continue a previous run (continual mode): the adapted model carries
+    over, the window history starts empty, and `config` replaces its config
+    for every stage. `dump_dir` writes predictions in .label format.
     """
     class_map = _checked_class_map(class_map, source_params)
     if state is None:
@@ -392,7 +371,7 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
     if dump_dir is not None:
         Path(dump_dir).mkdir(parents=True, exist_ok=True)
     row = _Row(state, class_map.num_classes, dump_dir)
-    [report] = _run_rows(frames, [row], state.ring_buffer, class_map)
+    [report] = _run_rows(frames, source_params, [row], class_map)
     return report, state
 
 
@@ -417,5 +396,5 @@ def run_ablation(frames, source_params: NetworkParams, config: AdaptConfig,
     rows = [_Row(AdaptationState.init(source_params, replace(config, **toggles)),
                  class_map.num_classes)
             for _, toggles in ABLATION_LADDER]
-    reports = _run_rows(frames, rows, [], class_map)
+    reports = _run_rows(frames, source_params, rows, class_map)
     return [(name, report) for (name, _), report in zip(ABLATION_LADDER, reports)]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spatial
 from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField
-from .errors import IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
+from .errors import ConfigInvalid, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 from .temporal import TemporalBatch, temporal_term
 
 _MAGIC = b"HGL1"
@@ -383,6 +383,8 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     of source frames `window` apart. Skipped when head_epochs is 0 or no
     sequence is long enough to form a pair.
     """
+    if epochs < 1:
+        raise ConfigInvalid(f"epochs must be >= 1, got {epochs}")
     frames = [f for seq in sequences for f in seq]
     if not frames:
         raise NoGroundTruth("no frames to pretrain on")
@@ -408,7 +410,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
             losses.append(loss)
         history.append(float(np.mean(losses)))
 
-    if head_epochs > 0 and epochs > 0:
+    if head_epochs > 0:
         def jittered(frame, rng, keep_frac):
             # sensor-noise + sparsity augmentation so the heads meet
             # realistic frame-to-frame discrepancies before they steer

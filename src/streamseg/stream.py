@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CANONICAL_CLASSES, Frame
+from .core import CANONICAL_CLASSES, Frame, read_text
 from .errors import ConfigInvalid, IoFailure, MalformedRecord, PoseCountMismatch
 
 _NUM_CLASSES = len(CANONICAL_CLASSES)
@@ -80,12 +80,8 @@ class ShiftConfig:
 
 def _parse_kv_file(path):
     """{key: (value, "path:line")} of a key=value file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
     pairs = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -353,21 +349,21 @@ def read_sequence(directory):
     a matching .label file exists.
     """
     directory = Path(directory)
-    try:
-        bins = sorted(directory.glob("*.bin"))
-        if not bins:
-            raise IoFailure(f"{directory}: no .bin files")
-        pose_path = directory / "poses.txt"
-        pose_rows = [line for line in pose_path.read_text().splitlines() if line.strip()]
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    bins = sorted(directory.glob("*.bin"))
+    if not bins:
+        raise IoFailure(f"{directory}: no .bin files")
+    pose_path = directory / "poses.txt"
+    pose_rows = [line for line in read_text(pose_path).splitlines() if line.strip()]
     if len(pose_rows) != len(bins):
         raise PoseCountMismatch(
             f"{directory}: {len(pose_rows)} poses for {len(bins)} frames")
 
     frames = []
     for i, bin_path in enumerate(bins):
-        blob = bin_path.read_bytes()
+        try:
+            blob = bin_path.read_bytes()
+        except OSError as e:
+            raise IoFailure(str(e)) from e
         if len(blob) % 16 != 0:
             raise MalformedRecord(f"{bin_path}: size {len(blob)} not divisible by 16")
         record = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)

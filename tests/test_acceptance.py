@@ -17,6 +17,8 @@ from streamseg import autodiff as ad
 from streamseg import harness, local_labels, model, prototypes, spatial, stream
 from streamseg.core import ConfidenceField, Frame, IGNORE, LabelField, ProbabilityField
 
+from test_harness import step_frame
+
 SCENE_SEED = 7
 SOURCE_FRAMES = 25
 BENCH_FRAMES = 200
@@ -293,11 +295,12 @@ def test_08_protocol_fidelity(golden_stream, source_params):
     cfg = harness.AdaptConfig()
 
     state = harness.AdaptationState.init(source_params, cfg)
+    history = []
     eval_ok = True
     for frame in prefix:
         probs, _, _ = model.forward(state.target_params,
                                     harness.frame_features(frame, cfg.k_feat)[1])
-        pred, _, state = harness.adapt_frame(state, frame)
+        pred, _ = step_frame(source_params, state, history, frame)
         eval_ok &= np.array_equal(pred.values, np.argmax(probs.values, axis=1))
 
     rep_a, state_a = harness.run_tta(prefix, source_params, cfg)

@@ -118,6 +118,14 @@ class TestPipeline:
         assert rc == 1
         assert "error: alpha" in capsys.readouterr().err
 
+    def test_zero_epochs_is_an_error_line_and_writes_no_checkpoint(self, pipeline, tmp_path,
+                                                                   capsys):
+        ckpt = tmp_path / "ckpt.bin"
+        rc = cli.main(["pretrain", str(pipeline / "seq"), "--out", str(ckpt), "--epochs", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: epochs")
+        assert not ckpt.exists()
+
 
 class TestErrorPaths:
     def test_missing_sequence_dir(self, tmp_path, capsys):
@@ -230,3 +238,33 @@ class TestErrorPaths:
         assert cli.main(["adapt", str(seq), "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "poses.txt: line 2" in err
+
+    def test_scene_file_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00seed = 1\n")
+        assert cli.main(["generate", str(tmp_path / "seq"), "--scene", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+
+    def test_class_map_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        stream.write_label_file(labels / "000000.label", np.zeros(3, dtype=np.int64))
+        cmap = tmp_path / "map.txt"
+        cmap.write_bytes(b"\xff\xfe\x000 0\n")
+        assert cli.main(["eval", str(labels), str(labels), "--class-map", str(cmap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cmap) in err
+
+    def test_unreadable_frame_file_is_an_error_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        seq = tmp_path / "seq"
+        stream.write_sequence([Frame(i, rng.normal(size=(30, 3)), np.eye(4)) for i in range(2)],
+                              seq)
+        (seq / "000000.bin").unlink()
+        (seq / "000000.bin").mkdir()
+        ckpt = tmp_path / "ckpt.bin"
+        model.NetworkParams.init(9, 7).save(ckpt)
+        assert cli.main(["adapt", str(seq), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "000000.bin" in err

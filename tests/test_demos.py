@@ -1,19 +1,24 @@
-"""The demos name only streamseg modules, attributes and keywords that exist.
+"""The demos and the docs name only streamseg modules, attributes and keywords that exist.
 
 The demos take minutes to run, so this checks them statically: each demo is
 parsed, every `streamseg` import and every attribute chain rooted at an
 imported streamseg name is resolved, and every call to a resolved function
-or class must bind its keyword arguments.
+or class must bind its keyword arguments. The package's `__all__` and the
+module attributes that README.md names in backticks must resolve too.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+import streamseg
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def streamseg_bindings(tree):
@@ -63,3 +68,17 @@ def test_demo_names_exist(path):
         if isinstance(node, ast.Call) and callable(fn := resolve(node.func, bound)):
             keywords = {kw.arg: None for kw in node.keywords if kw.arg is not None}
             inspect.signature(fn).bind_partial(*[None] * len(node.args), **keywords)
+
+
+def test_package_exports_exist():
+    missing = [name for name in streamseg.__all__ if not hasattr(streamseg, name)]
+    assert not missing
+
+
+def test_readme_names_exist():
+    text = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"`(harness|model|stream)\.(\w+)", text))
+    assert named
+    missing = [f"{module}.{attr}" for module, attr in sorted(named)
+               if not hasattr(importlib.import_module(f"streamseg.{module}"), attr)]
+    assert not missing

@@ -27,6 +27,22 @@ def evaluate_iou(pred, gt, num_classes):
     return harness.iou_from_confusion(harness.confusion_matrix(pred, gt, num_classes))
 
 
+def step_frame(source_params, state, history, frame):
+    """One frame through the source stage and the target stage, as `run_tta` runs it.
+
+    `history` is the caller's list of window entries, newest last; it gains
+    this frame and keeps the last `window`. Returns (eval_pred, source_pred):
+    the adapted model's prediction made before the update, and the frozen
+    source model's.
+    """
+    cfg = state.config
+    source = harness.source_stage(source_params, frame, cfg, history, match=cfg.use_tgr)
+    eval_pred = harness.target_stage(state, source)
+    history.append(harness._BufferEntry(source.frame, source.features, source.scores.values))
+    del history[:-cfg.window]
+    return eval_pred, source.source_pred
+
+
 def calls_per_frame(monkeypatch, frames, run):
     """K-NN queries and forward passes made while each frame is current.
 
@@ -141,7 +157,7 @@ class TestAdaptFrame:
         state = harness.AdaptationState.init(params, harness.AdaptConfig())
         probs, _, _ = model.forward(params, harness.frame_features(frames[0], 20)[1])
         expected = np.argmax(probs.values, axis=1)
-        pred, source_pred, state = harness.adapt_frame(state, frames[0])
+        pred, source_pred = step_frame(params, state, [], frames[0])
         # the returned predictions are the pre-update model's and the source's,
         # which start out equal
         np.testing.assert_array_equal(pred.values, expected)
@@ -153,28 +169,33 @@ class TestAdaptFrame:
     def test_source_params_never_move(self):
         frames = tiny_stream(4)
         params = tiny_params()
-        state = harness.AdaptationState.init(params, harness.AdaptConfig())
+        source_params = params.copy()
+        state = harness.AdaptationState.init(source_params, harness.AdaptConfig())
+        history = []
         for f in frames:
-            _, _, state = harness.adapt_frame(state, f)
+            step_frame(source_params, state, history, f)
         for name in params.names():
-            np.testing.assert_array_equal(state.source_params.tensors[name],
+            np.testing.assert_array_equal(source_params.tensors[name],
                                           params.tensors[name])
 
-    def test_ring_buffer_bounded_by_window(self):
+    def test_history_bounded_by_window(self):
         frames = tiny_stream(8)
+        params = tiny_params()
         cfg = harness.AdaptConfig(window=3)
-        state = harness.AdaptationState.init(tiny_params(), cfg)
+        state = harness.AdaptationState.init(params, cfg)
+        history = []
         for f in frames:
-            _, _, state = harness.adapt_frame(state, f)
-            assert len(state.ring_buffer) <= 3
-        assert state.ring_buffer[-1].frame.frame_id == frames[-1].frame_id
+            step_frame(params, state, history, f)
+            assert len(history) <= 3
+        assert history[-1].frame.frame_id == frames[-1].frame_id
 
 
 class TestFiniteGuard:
     @pytest.mark.parametrize("poison", ["loss", "grad"])
     def test_non_finite_update_is_skipped(self, monkeypatch, poison):
         frames = tiny_stream(2)
-        state = harness.AdaptationState.init(tiny_params(), harness.AdaptConfig())
+        params = tiny_params()
+        state = harness.AdaptationState.init(params, harness.AdaptConfig())
         real = harness.loss_and_grad
 
         def poisoned(*args):
@@ -189,7 +210,7 @@ class TestFiniteGuard:
         before = state.target_params.copy()
         moments = [{k: v.copy() for k, v in d.items()}
                    for d in (state.optimizer.m, state.optimizer.v)]
-        pred, _, state = harness.adapt_frame(state, frames[0])
+        pred, _ = step_frame(params, state, [], frames[0])
         assert len(pred) == frames[0].num_points
         assert state.optimizer.step == 0
         for name in before.names():
@@ -236,7 +257,18 @@ class TestRunTta:
         # lr = 0 (which also zeroes the decoupled decay) leaves every weight as is
         for name in params.names():
             np.testing.assert_array_equal(state.target_params.tensors[name], before[name])
-        assert len(state.ring_buffer) == 2
+
+    def test_continuation_matches_frames_only_within_its_stream(self, monkeypatch):
+        params = tiny_params()
+        cfg = harness.AdaptConfig(window=3)
+        _, state = harness.run_tta(tiny_stream(4, seed=3), params, cfg)
+        scene_b = tiny_stream(5, seed=4)
+        per_frame = calls_per_frame(monkeypatch, scene_b, lambda source: (
+            harness.run_tta(source, params, cfg),
+            harness.run_tta(source, params, cfg, state=state)))
+        knn = [calls.count("knn") for calls in per_frame]
+        # fresh, then continued: the first `window` frames of scene B have no frame w back
+        assert knn[:5] == knn[5:] == [1, 1, 1, 2, 2]
 
     def test_one_self_query_and_one_forward_per_model_per_frame(self, monkeypatch):
         frames = tiny_stream(3)
