@@ -1,12 +1,12 @@
 """Online adaptation loop, evaluation protocol, metrics, and ablation grid.
 
 Each incoming frame goes through two stages. The source stage depends only
-on the frame, the frozen source model and the window history: geometric
-features, the source prediction, local pseudo-labels and the correspondences
-to the frame w steps back. The target stage first evaluates the model
-adapted up to the previous frame, then takes one self-supervised update:
-prototype fine-tuning on the live target model, temporal consistency, and a
-single optimizer step on the combined objective.
+on the frame, the frozen source model and the source stage of the frame w
+steps back: geometric features, the source prediction, local pseudo-labels
+and the correspondences to that frame. The target stage first evaluates the
+model adapted up to the previous frame, then takes one self-supervised
+update: prototype fine-tuning on the live target model, temporal
+consistency, and a single optimizer step on the combined objective.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ class AdaptConfig:
 
 
 @dataclass
-class _BufferEntry:
-    frame: Frame
-    features: np.ndarray        # normalized network inputs
-    scores: np.ndarray          # cached confidence S
-
-
-@dataclass
 class AdaptationState:
     """The adapted model: what a continued run carries over from the last one."""
 
@@ -92,7 +85,7 @@ class AdaptationState:
         return cls(
             target_params=target,
             optimizer=OptimizerState.init(target),
-            bank=prototypes.PrototypeBank.empty(source_params.num_classes, 32),
+            bank=prototypes.PrototypeBank.empty(source_params.num_classes, source_params.embed_dim),
             config=config,
         )
 
@@ -163,11 +156,11 @@ class SourceFrame:
 
 
 def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig,
-                 history: list, match: bool) -> SourceFrame:
-    """Features, source forward, local labels and, if `match`, correspondences.
+                 partner: SourceFrame | None) -> SourceFrame:
+    """Features, source forward, local labels and correspondences to `partner`.
 
-    `history` holds the previous frames' entries, newest last; frame
-    t - window is `window` back. The frame's spatial index, with its cached
+    `partner` is frame t - window's source stage, or None when the frame gets
+    no temporal term. The frame's spatial index, with its cached
     neighbourhood, dies when this returns, before any target-model work.
     """
     validate_frame(frame)
@@ -180,12 +173,11 @@ def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig
         source_probs, index, config.k, config.lam, source_params.num_classes)
 
     temporal = None
-    if match and len(history) >= config.window:
-        oldest = history[-config.window]
-        pairs = spatial.match_correspondences(frame, oldest.frame, config.tau, index_t=index)
+    if partner is not None:
+        pairs = spatial.match_correspondences(frame, partner.frame, config.tau, index_t=index)
         if len(pairs):
-            temporal = TemporalBatch(oldest.features, pairs.idx_t, pairs.idx_prev,
-                                     scores.values, oldest.scores)
+            temporal = TemporalBatch(partner.features, pairs.idx_t, pairs.idx_prev,
+                                     scores.values, partner.scores.values)
     return SourceFrame(frame, feats, source_pred, labels, scores, selected, temporal)
 
 
@@ -328,13 +320,15 @@ def _run_rows(frames, source_params: NetworkParams, rows: list, class_map: Class
             gt = remap_labels(frame.gt_labels, class_map)
 
         start = time.perf_counter()
-        source = source_stage(source_params, frame, config, history, match)
+        partner = history[0] if match and len(history) == config.window else None
+        source = source_stage(source_params, frame, config, partner)
         source_time = time.perf_counter() - start
         for row in rows:
             start = time.perf_counter()
             eval_pred = target_stage(row.state, source)
             row.record(frame, eval_pred, gt, source_time + time.perf_counter() - start)
-        history.append(_BufferEntry(source.frame, source.features, source.scores.values))
+        # without its own pairs: they would keep frame t - 2 * window's features alive
+        history.append(replace(source, temporal=None))
 
         if gt is not None:
             source_total, _ = accumulate_confusion(source_total, source.source_pred, gt)

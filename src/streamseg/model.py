@@ -76,6 +76,10 @@ class NetworkParams:
     def num_classes(self) -> int:
         return self.tensors["classifier_w"].shape[1]
 
+    @property
+    def embed_dim(self) -> int:
+        return self.tensors["classifier_w"].shape[0]
+
     def names(self):
         return [f"{n}_{s}" for n, _, _ in _layer_specs(self.feature_dim, self.num_classes)
                 for s in ("w", "b")]
@@ -361,8 +365,6 @@ def total_loss_and_grad(params: NetworkParams, features, targets: LabelField,
 
 
 _WARMUP_JITTER = 0.05
-#: Label smoothing ceiling of the supervised source fit.
-_PRETRAIN_BETA_HAT = 0.3
 #: Correspondence distance threshold (m) of the head warm-up pairs.
 _WARMUP_TAU = 0.2
 
@@ -373,9 +375,10 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     """Fit the source model on labeled sequences with the soft Dice loss.
 
     `sequences` is a list of frame lists carrying ground truth; `feature_fn`
-    maps a frame to the (already normalized) network input. Shuffling is
-    fixed by `seed`, so the result is deterministic. Returns (params,
-    per-epoch mean losses).
+    maps a frame to the (already normalized) network input. The targets are
+    the one-hot ground truth, without label smoothing. Shuffling is fixed by
+    `seed`, so the result is deterministic. Returns (params, per-epoch mean
+    losses).
 
     The encoder/predictor heads receive no gradient from the Dice loss, so
     a short warm-up follows: with the backbone and classifier frozen, the
@@ -383,14 +386,26 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     of source frames `window` apart. Skipped when head_epochs is 0 or no
     sequence is long enough to form a pair.
     """
-    if epochs < 1:
-        raise ConfigInvalid(f"epochs must be >= 1, got {epochs}")
+    # num_classes >= 2: adaptation's certainty score divides by log(num_classes)
+    for name, value, ok, bound in (("epochs", epochs, epochs >= 1, ">= 1"),
+                                   ("num_classes", num_classes, num_classes >= 2, ">= 2"),
+                                   ("lr", lr, lr >= 0, ">= 0"),
+                                   ("wd", wd, wd >= 0, ">= 0"),
+                                   ("head_epochs", head_epochs, head_epochs >= 0, ">= 0"),
+                                   ("window", window, window >= 1, ">= 1")):
+        if not ok:
+            raise ConfigInvalid(f"{name} must be {bound}, got {value}")
     frames = [f for seq in sequences for f in seq]
     if not frames:
         raise NoGroundTruth("no frames to pretrain on")
     for f in frames:
         if f.gt_labels is None:
             raise NoGroundTruth(f"frame {f.frame_id} carries no ground truth")
+        known = f.gt_labels[f.gt_labels != IGNORE]
+        bad = known[(known < 0) | (known >= num_classes)]
+        if len(bad):
+            raise ConfigInvalid(f"frame {f.frame_id}: ground-truth label {bad[0]} "
+                                f"is outside [0, {num_classes})")
 
     cache = [feature_fn(f) for f in frames]
     params = NetworkParams.init(cache[0].shape[1], num_classes, seed=seed)
@@ -404,8 +419,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
             frame = frames[i]
             labels = LabelField(frame.gt_labels)
             ones = ConfidenceField(np.ones(frame.num_points))
-            loss, grads, _ = total_loss_and_grad(params, cache[i], labels, ones,
-                                                 _PRETRAIN_BETA_HAT)
+            loss, grads, _ = total_loss_and_grad(params, cache[i], labels, ones, 0.0)
             params, state = adam_step(params, grads, state, lr=lr, wd=wd)
             losses.append(loss)
         history.append(float(np.mean(losses)))

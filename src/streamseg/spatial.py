@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Frame
-from .errors import EmptyInput, KTooLarge, LengthMismatch, NonFiniteCoordinate
+from .errors import ConfigInvalid, EmptyInput, KTooLarge, LengthMismatch, NonFiniteCoordinate
 
 #: Extra candidates fetched per query before exact re-ranking.
 _SLACK = 8
@@ -171,7 +171,7 @@ def local_geometric_features(index: SpatialIndex, k_feat: int) -> np.ndarray:
     degenerate neighborhoods (largest eigenvalue < 1e-12) emit zeros.
     """
     if k_feat < 3:
-        raise ValueError("k_feat must be at least 3")
+        raise ConfigInvalid(f"k_feat must be >= 3, got {k_feat}")
     points = index.points
     idx, dist = index.neighbors(k_feat)
 

@@ -1,5 +1,8 @@
 """End-to-end command-line pipeline on a miniature scene."""
 
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,20 @@ class TestFlagPlumbing:
                 cli.main(["ablate", "seq", "--checkpoint", "x", switch])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["adapt", "ablate"])
+    def test_every_flag_is_a_config_field_or_io(self, command):
+        # `_config_from_args` drops any dest that is not an AdaptConfig field
+        io = {"sequences", "sequence", "checkpoint", "class_map", "report", "dump_pred",
+              "continual"}
+        fields = {f.name for f in dataclasses.fields(harness.AdaptConfig)}
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert dests <= fields | io, dests - fields - io
+        if command == "adapt":
+            assert fields <= dests, fields - dests
 
     def test_ablation_toggles(self):
         cfg = cli._config_from_args(self.parse("--no-tgr", "--no-alg"))
@@ -124,6 +141,22 @@ class TestPipeline:
         rc = cli.main(["pretrain", str(pipeline / "seq"), "--out", str(ckpt), "--epochs", "0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: epochs")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--classes", "3", "error: frame 0: ground-truth label "),
+        ("--classes", "0", "error: num_classes "),
+        ("--lr", "-1", "error: lr "),
+        ("--head-epochs", "-1", "error: head_epochs "),
+        ("--k-feat", "2", "error: k_feat "),
+    ], ids=["labels-outside-classes", "no-classes", "negative-lr", "negative-head-epochs",
+            "small-k-feat"])
+    def test_invalid_pretrain_input_is_an_error_line_and_writes_no_checkpoint(
+            self, pipeline, tmp_path, capsys, flag, value, message):
+        ckpt = tmp_path / "ckpt.bin"
+        rc = cli.main(["pretrain", str(pipeline / "seq"), "--out", str(ckpt), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
         assert not ckpt.exists()
 
 

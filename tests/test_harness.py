@@ -30,15 +30,16 @@ def evaluate_iou(pred, gt, num_classes):
 def step_frame(source_params, state, history, frame):
     """One frame through the source stage and the target stage, as `run_tta` runs it.
 
-    `history` is the caller's list of window entries, newest last; it gains
-    this frame and keeps the last `window`. Returns (eval_pred, source_pred):
+    `history` is the caller's list of source stages, newest last; it gains
+    this frame's and keeps the last `window`. Returns (eval_pred, source_pred):
     the adapted model's prediction made before the update, and the frozen
     source model's.
     """
     cfg = state.config
-    source = harness.source_stage(source_params, frame, cfg, history, match=cfg.use_tgr)
+    partner = history[0] if cfg.use_tgr and len(history) == cfg.window else None
+    source = harness.source_stage(source_params, frame, cfg, partner)
     eval_pred = harness.target_stage(state, source)
-    history.append(harness._BufferEntry(source.frame, source.features, source.scores.values))
+    history.append(source)
     del history[:-cfg.window]
     return eval_pred, source.source_pred
 
@@ -188,6 +189,27 @@ class TestAdaptFrame:
             step_frame(params, state, history, f)
             assert len(history) <= 3
         assert history[-1].frame.frame_id == frames[-1].frame_id
+
+
+class TestSourceStage:
+    def test_no_partner_means_one_query_and_no_temporal_term(self, monkeypatch):
+        frames = tiny_stream(1)
+        cfg = harness.AdaptConfig()
+        sources = []
+        per_frame = calls_per_frame(monkeypatch, frames, lambda source: sources.extend(
+            harness.source_stage(tiny_params(), f, cfg, None) for f in source))
+        assert per_frame[0].count("knn") == 1
+        assert sources[0].temporal is None
+
+    def test_partner_arrays_are_shared_not_copied(self):
+        frames = tiny_stream(2)
+        params = tiny_params()
+        cfg = harness.AdaptConfig(window=1)
+        partner = harness.source_stage(params, frames[0], cfg, None)
+        source = harness.source_stage(params, frames[1], cfg, partner)
+        assert source.temporal is not None
+        assert source.temporal.features_prev is partner.features
+        assert source.temporal.s_prev is partner.scores.values
 
 
 class TestFiniteGuard:

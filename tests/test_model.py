@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamseg.core import ConfidenceField, Frame, IGNORE, LabelField, ProbabilityField
-from streamseg.errors import MalformedRecord, NoGroundTruth, ShapeMismatch
+from streamseg.errors import ConfigInvalid, MalformedRecord, NoGroundTruth, ShapeMismatch
 from streamseg import model
 from streamseg.spatial import build_index, local_geometric_features
 
@@ -330,3 +330,33 @@ class TestPretrain:
         with pytest.raises(NoGroundTruth):
             model.pretrain_source([[frame]], epochs=1, seed=0, feature_fn=toy_features,
                                   num_classes=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("num_classes", 1), ("lr", -1.0), ("wd", -1e-5), ("head_epochs", -1),
+        ("window", 0),
+    ])
+    def test_invalid_value_rejected_before_any_work(self, field, value):
+        def no_features(frame):
+            raise AssertionError("features computed before the inputs were checked")
+
+        kwargs = dict(epochs=1, seed=0, feature_fn=no_features, num_classes=2)
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be"):
+            model.pretrain_source([toy_sequence(0, frames=2)], **{**kwargs, field: value})
+
+    @pytest.mark.parametrize("label", [2, -3])
+    def test_label_outside_the_classes_names_frame_and_label(self, label):
+        seq = toy_sequence(0, frames=3)
+        gt = seq[1].gt_labels.copy()
+        gt[5] = label
+        seq[1] = Frame(1, seq[1].points, seq[1].pose, gt)
+        with pytest.raises(ConfigInvalid, match=rf"^frame 1: ground-truth label {label} "):
+            model.pretrain_source([seq], epochs=1, seed=0, feature_fn=toy_features,
+                                  num_classes=2)
+
+    def test_ignore_labels_are_allowed(self):
+        seq = toy_sequence(0, frames=3)
+        gt = seq[0].gt_labels.copy()
+        gt[:4] = IGNORE
+        seq[0] = Frame(0, seq[0].points, seq[0].pose, gt)
+        model.pretrain_source([seq], epochs=1, seed=0, feature_fn=toy_features,
+                              num_classes=2, head_epochs=0)

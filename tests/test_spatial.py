@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamseg.core import Frame
-from streamseg.errors import EmptyInput, KTooLarge
+from streamseg.errors import ConfigInvalid, EmptyInput, KTooLarge
 from streamseg import spatial
 
 
@@ -211,6 +211,11 @@ class TestGeometricFeatures:
         pts = np.column_stack([np.linspace(0, 5, 200), np.zeros(200), np.zeros(200)])
         feats = spatial.local_geometric_features(spatial.build_index(pts), 8)
         assert np.all(feats[:, 5] > 1 - 1e-9)
+
+    def test_k_feat_below_three_is_a_config_error(self):
+        index = spatial.build_index(np.random.default_rng(0).normal(size=(10, 3)))
+        with pytest.raises(ConfigInvalid, match="^k_feat must be >= 3, got 2"):
+            spatial.local_geometric_features(index, 2)
 
     def test_degenerate_neighborhood_emits_zeros(self):
         pts = np.zeros((10, 3))  # all identical -> lambda_1 == 0
