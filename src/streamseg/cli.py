@@ -7,8 +7,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, model, stream
 from .core import ClassMap, LabelField, remap_labels
 from .errors import EmptyInput, LengthMismatch, StreamSegError
@@ -69,7 +67,7 @@ def cmd_generate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     sequences = [stream.read_sequence(d) for d in args.sequences]
-    if args.jitter_aug > 0:
+    if args.jitter_aug != 0:   # 0 means no augmentation; a negative sigma is an error
         sequences += stream.jittered_copies(sequences, args.jitter_aug, args.seed)
 
     def feature_fn(frame):
@@ -134,12 +132,7 @@ def cmd_eval(args) -> int:
             total, _ = harness.accumulate_confusion(total, pred, gt)
         except LengthMismatch as e:
             raise LengthMismatch(f"frame {stem}: {e}") from e
-    iou, miou = harness.iou_from_confusion(total)
-    width = max(len(n) for n in class_map.canonical_names)
-    for name, value in zip(class_map.canonical_names, iou):
-        shown = "   -" if np.isnan(value) else f"{100 * value:6.2f}%"
-        print(f"{name.ljust(width)}  {shown}")
-    print(f"{'mIoU'.ljust(width)}  {100 * miou:6.2f}%")
+    print(harness.class_table(class_map.canonical_names, total), end="")
     return 0
 
 

@@ -108,6 +108,8 @@ class ProbabilityField:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise LengthMismatch(f"probabilities must be N x C, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("probability entries must be finite")
         if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
             raise ValueError("probability entries must lie in [0, 1]")
         if np.max(np.abs(v.sum(axis=1) - 1.0)) > 1e-6:

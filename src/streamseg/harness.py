@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -219,19 +219,52 @@ def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
     return eval_pred
 
 
+def class_table(class_names, confusion) -> str:
+    """Per-class IoU lines and the mIoU line of a running (conf, miss) total."""
+    iou, miou = iou_from_confusion(confusion)
+    width = max(len(n) for n in class_names)
+    lines = [f"{name.ljust(width)}  {'   -' if np.isnan(v) else f'{100 * v:6.2f}%'}"
+             for name, v in zip(class_names, iou)]
+    lines.append(f"{'mIoU'.ljust(width)}  {100 * miou:6.2f}%")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class RunReport:
-    """Per-frame metrics of one adaptation run."""
+    """Per-frame metrics of one adaptation run, recorded frame by frame."""
 
     class_names: tuple
-    frame_ids: list
-    per_frame_iou: list          # arrays with NaN for absent classes
-    per_frame_miou: list
-    cumulative_miou: float
-    source_cumulative_miou: float
-    improvement: float           # percentage points over the source-only run
-    per_frame_time: list
     config: dict
+    source_cumulative_miou: float = float("nan")   # set when the pass ends
+    frame_ids: list = field(default_factory=list)
+    per_frame_iou: list = field(default_factory=list)   # arrays with NaN for absent classes
+    per_frame_miou: list = field(default_factory=list)
+    per_frame_time: list = field(default_factory=list)
+    confusion: tuple = field(init=False)   # running (conf, miss) over the scored frames
+
+    def __post_init__(self):
+        self.confusion = empty_confusion(len(self.class_names))
+
+    def record(self, frame_id: int, pred: LabelField, gt: LabelField | None, seconds: float):
+        """Add one frame; a frame without ground truth gets NaN scores."""
+        if gt is not None:
+            self.confusion, frame_counts = accumulate_confusion(self.confusion, pred, gt)
+            iou, miou = iou_from_confusion(frame_counts)
+        else:
+            iou, miou = np.full(len(self.class_names), np.nan), float("nan")
+        self.frame_ids.append(frame_id)
+        self.per_frame_iou.append(iou)
+        self.per_frame_miou.append(miou)
+        self.per_frame_time.append(seconds)
+
+    @property
+    def cumulative_miou(self) -> float:
+        return iou_from_confusion(self.confusion)[1]
+
+    @property
+    def improvement(self) -> float:
+        """Cumulative mIoU minus the source-only run's."""
+        return self.cumulative_miou - self.source_cumulative_miou
 
     def csv_text(self, include_time: bool = True) -> str:
         cols = ["frame"] + [f"class{i}_iou" for i in range(len(self.class_names))] + ["mIoU"]
@@ -248,71 +281,30 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def table_text(self) -> str:
-        width = max(len(n) for n in self.class_names)
         lines = [
             f"frames: {len(self.frame_ids)}",
             f"cumulative mIoU: {100 * self.cumulative_miou:.2f}%",
             f"source-only mIoU: {100 * self.source_cumulative_miou:.2f}%",
             f"improvement: {100 * self.improvement:+.2f} points",
             f"mean frame time: {np.mean(self.per_frame_time):.3f} s",
-            "",
-            f"{'class'.ljust(width)}  mean IoU",
         ]
-        per_class = np.nanmean(np.vstack(self.per_frame_iou), axis=0)
-        for name, value in zip(self.class_names, per_class):
-            shown = "   -" if np.isnan(value) else f"{100 * value:6.2f}%"
-            lines.append(f"{name.ljust(width)}  {shown}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + class_table(self.class_names, self.confusion)
 
 
-class _Row:
-    """One run inside a pass over a stream: its state and its per-frame record."""
+def _run_rows(frames, source_params: NetworkParams, states: list, class_map: ClassMap,
+              dump_dir=None) -> list:
+    """One pass over one stream: per frame, one source stage, then each state's target stage.
 
-    def __init__(self, state: AdaptationState, num_classes: int, dump_dir=None):
-        self.state = state
-        self.dump_dir = dump_dir
-        self.total = empty_confusion(num_classes)
-        self.frame_ids, self.per_iou, self.per_miou, self.times = [], [], [], []
-
-    def record(self, frame: Frame, pred: LabelField, gt: LabelField | None, seconds: float):
-        if self.dump_dir is not None:
-            write_label_file(Path(self.dump_dir) / f"{frame.frame_id:06d}.label", pred.values)
-        if gt is not None:
-            self.total, frame_counts = accumulate_confusion(self.total, pred, gt)
-            iou, miou = iou_from_confusion(frame_counts)
-        else:
-            iou, miou = np.full(len(self.total[1]), np.nan), float("nan")
-        self.frame_ids.append(frame.frame_id)
-        self.per_iou.append(iou)
-        self.per_miou.append(miou)
-        self.times.append(seconds)
-
-    def report(self, class_names, source_cumulative: float) -> RunReport:
-        _, cumulative = iou_from_confusion(self.total)
-        return RunReport(
-            class_names=class_names,
-            frame_ids=self.frame_ids,
-            per_frame_iou=self.per_iou,
-            per_frame_miou=self.per_miou,
-            cumulative_miou=cumulative,
-            source_cumulative_miou=source_cumulative,
-            improvement=cumulative - source_cumulative,
-            per_frame_time=self.times,
-            config=asdict(self.state.config),
-        )
-
-
-def _run_rows(frames, source_params: NetworkParams, rows: list, class_map: ClassMap) -> list:
-    """One pass over one stream: per frame, one source stage, then each row's target stage.
-
-    The rows differ only in their module switches, so they share the source
+    The states differ only in their module switches, so they share the source
     stage, the window history and the source-only score. The history starts
-    empty: frames are matched only within this stream. A row's frame time is
-    the source stage plus its own target stage. Returns one RunReport per row.
+    empty: frames are matched only within this stream. A state's frame time
+    is the source stage plus its own target stage; the `dump_dir` write (one
+    state only) comes after it. Returns one RunReport per state.
     """
-    config = rows[0].state.config
-    match = any(row.state.config.use_tgr for row in rows)
+    config = states[0].config
+    match = any(state.config.use_tgr for state in states)
     history = deque(maxlen=config.window)
+    reports = [RunReport(class_map.canonical_names, asdict(state.config)) for state in states]
     source_total = empty_confusion(class_map.num_classes)
     for frame in frames:
         gt = None
@@ -323,10 +315,12 @@ def _run_rows(frames, source_params: NetworkParams, rows: list, class_map: Class
         partner = history[0] if match and len(history) == config.window else None
         source = source_stage(source_params, frame, config, partner)
         source_time = time.perf_counter() - start
-        for row in rows:
+        for state, report in zip(states, reports):
             start = time.perf_counter()
-            eval_pred = target_stage(row.state, source)
-            row.record(frame, eval_pred, gt, source_time + time.perf_counter() - start)
+            eval_pred = target_stage(state, source)
+            report.record(frame.frame_id, eval_pred, gt, source_time + time.perf_counter() - start)
+            if dump_dir is not None:
+                write_label_file(Path(dump_dir) / f"{frame.frame_id:06d}.label", eval_pred.values)
         # without its own pairs: they would keep frame t - 2 * window's features alive
         history.append(replace(source, temporal=None))
 
@@ -334,7 +328,9 @@ def _run_rows(frames, source_params: NetworkParams, rows: list, class_map: Class
             source_total, _ = accumulate_confusion(source_total, source.source_pred, gt)
 
     _, source_cumulative = iou_from_confusion(source_total)
-    return [row.report(class_map.canonical_names, source_cumulative) for row in rows]
+    for report in reports:
+        report.source_cumulative_miou = source_cumulative
+    return reports
 
 
 def _checked_class_map(class_map: ClassMap | None, source_params: NetworkParams) -> ClassMap:
@@ -364,8 +360,7 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
     state.config = config
     if dump_dir is not None:
         Path(dump_dir).mkdir(parents=True, exist_ok=True)
-    row = _Row(state, class_map.num_classes, dump_dir)
-    [report] = _run_rows(frames, source_params, [row], class_map)
+    [report] = _run_rows(frames, source_params, [state], class_map, dump_dir)
     return report, state
 
 
@@ -387,8 +382,7 @@ def run_ablation(frames, source_params: NetworkParams, config: AdaptConfig,
     adapts its own state on it, so `frames` may be a one-pass iterable.
     """
     class_map = _checked_class_map(class_map, source_params)
-    rows = [_Row(AdaptationState.init(source_params, replace(config, **toggles)),
-                 class_map.num_classes)
-            for _, toggles in ABLATION_LADDER]
-    reports = _run_rows(frames, source_params, rows, class_map)
+    states = [AdaptationState.init(source_params, replace(config, **toggles))
+              for _, toggles in ABLATION_LADDER]
+    reports = _run_rows(frames, source_params, states, class_map)
     return [(name, report) for (name, _), report in zip(ABLATION_LADDER, reports)]

@@ -135,6 +135,9 @@ class NetworkParams:
                 raise MalformedRecord(f"{path}: inconsistent shapes for layer {name}")
             tensors[f"{name}_w"] = w
             tensors[f"{name}_b"] = b
+        for name, value in tensors.items():
+            if not np.isfinite(value).all():
+                raise MalformedRecord(f"{path}: tensor {name} holds a non-finite value")
         params.tensors = tensors
         return params
 
@@ -392,7 +395,8 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                                    ("lr", lr, lr >= 0, ">= 0"),
                                    ("wd", wd, wd >= 0, ">= 0"),
                                    ("head_epochs", head_epochs, head_epochs >= 0, ">= 0"),
-                                   ("window", window, window >= 1, ">= 1")):
+                                   ("window", window, window >= 1, ">= 1"),
+                                   ("seed", seed, seed >= 0, ">= 0")):
         if not ok:
             raise ConfigInvalid(f"{name} must be {bound}, got {value}")
     frames = [f for seq in sequences for f in seq]

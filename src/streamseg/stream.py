@@ -47,6 +47,8 @@ class SceneConfig:
     point_density: float = 4.0     # road points per square meter
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.frames < 1 or self.ego_step < 0 or self.sensor_range <= 0:
             raise ConfigInvalid("frames must be >= 1, ego_step >= 0, sensor_range > 0")
         if not np.isfinite([self.ego_step, self.yaw_step]).all():
@@ -71,6 +73,8 @@ class ShiftConfig:
     seed: int = 0
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.jitter_sigma < 0 or self.density_factor <= 0:
             raise ConfigInvalid("jitter_sigma must be >= 0 and density_factor > 0")
         d = np.asarray(self.class_dropout, dtype=np.float64)
@@ -294,6 +298,9 @@ def generate_sequence(scene: SceneConfig, shift: ShiftConfig):
 
 def jittered_copies(sequences, sigma: float, seed: int):
     """A copy of each sequence with N(0, sigma) noise on every coordinate, seeded by `seed`."""
+    for name, value in (("jitter sigma", sigma), ("seed", seed)):
+        if not value >= 0:
+            raise ConfigInvalid(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng([seed, 0xAA6])
     return [[Frame(f.frame_id, f.points + rng.normal(0.0, sigma, f.points.shape),
                    f.pose, f.gt_labels) for f in seq]

@@ -1,13 +1,15 @@
-"""The benchmark's tracer still runs this tree's loop unchanged.
+"""The benchmark's tracer and report readers still fit this tree's loop.
 
 `perfbench/tracer.py` rebinds streamseg's public functions to timing
 wrappers and reads some of their return values, and the benchmark requires
-a traced run to match an untraced one bitwise. This checks both on a short
-stream, reading `perfbench/` without changing it.
+a traced run to match an untraced one bitwise. `perfbench/workloads.py`
+checks each unit's `RunReport` and reads its quality metrics from it. This
+checks both on a short stream, reading `perfbench/` without changing it.
 """
 
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("tracer")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
 
 
 def test_traced_run_equals_plain_run(tracer):
@@ -57,3 +65,36 @@ def test_traced_pretrain_with_warmup_equals_plain_call(tracer):
     steps = len(seq) + (len(seq) - 3)
     assert sum(c["model.adam_steps"] for c in tr.counts.values()) == steps
     assert sum(span[0] == "model.adam_step" for span in tr.spans) == steps
+
+
+def test_report_check_and_quality_readers_accept_a_run_tta_report(workloads, tmp_path):
+    frames = tiny_stream(3)
+    report, state = harness.run_tta(frames, tiny_params(), harness.AdaptConfig(window=2))
+    unit = workloads.Unit(outputs=(report, state))
+    workloads._check_report("golden_adapt", report, frames, unit)
+    assert unit.problems == []
+    assert unit.fingerprint == report.csv_text(include_time=False).encode()
+
+    golden = workloads.GoldenAdapt(SimpleNamespace(scene_seed=7, seed=0), None, tmp_path)
+    quality = golden.quality(unit)
+    assert quality["miou_pct"] == (100 * report.cumulative_miou, "%")
+    assert quality["source_miou_pct"] == (100 * report.source_cumulative_miou, "%")
+    assert quality["improvement_pts"] == (100 * report.improvement, "pts")
+
+
+def test_ladder_quality_reader_accepts_run_ablation_rows(workloads, tmp_path):
+    frames = tiny_stream(3)
+    rows = harness.run_ablation(frames, tiny_params(), harness.AdaptConfig(window=2))
+    unit = workloads.Unit(outputs=rows)
+    for name, report in rows:
+        workloads._check_report(name, report, frames, unit)
+    assert unit.problems == []
+
+    ladder = workloads.AblationLadder(SimpleNamespace(scene_seed=7, seed=0), None, tmp_path)
+    quality = ladder.quality(unit)
+    full = dict(rows)["full"]
+    assert quality["miou_pct"] == (100 * full.cumulative_miou, "%")
+    assert quality["source_miou_pct"] == (100 * full.source_cumulative_miou, "%")
+    assert quality["improvement_pts"] == (100 * full.improvement, "pts")
+    for name, report in rows[:-1]:
+        assert quality[f"improvement_pts.{name.lstrip('+')}"] == (100 * report.improvement, "pts")

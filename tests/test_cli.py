@@ -110,6 +110,24 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "mIoU" in out
 
+    def test_adapt_table_and_eval_print_the_same_scores(self, pipeline, tmp_path, capsys):
+        assert cli.main(["adapt", str(pipeline / "seq"),
+                         "--checkpoint", str(pipeline / "ckpt.bin"),
+                         "--dump-pred", str(tmp_path / "pred")]) == 0
+        adapt_out = capsys.readouterr().out
+        cmap = tmp_path / "map.txt"
+        cmap.write_text("\n".join(f"{i} {i}" for i in range(7)) + "\n")
+        assert cli.main(["eval", str(tmp_path / "pred" / "seq"), str(pipeline / "seq"),
+                         "--class-map", str(cmap)]) == 0
+        eval_out = capsys.readouterr().out
+        # adapt names the classes class0.. and eval the canonical names; the values agree
+        adapt_lines = adapt_out.split("\n\n", 1)[1].strip().splitlines()
+        eval_lines = eval_out.strip().splitlines()
+        assert len(adapt_lines) == len(eval_lines) == 8
+        assert adapt_lines[-1].startswith("mIoU") and eval_lines[-1].startswith("mIoU")
+        assert ([line.split()[-1] for line in adapt_lines]
+                == [line.split()[-1] for line in eval_lines])
+
     def test_ablate_prints_ladder(self, pipeline, capsys):
         rc = cli.main(["ablate", str(pipeline / "seq"),
                        "--checkpoint", str(pipeline / "ckpt.bin")])
@@ -149,8 +167,10 @@ class TestPipeline:
         ("--lr", "-1", "error: lr "),
         ("--head-epochs", "-1", "error: head_epochs "),
         ("--k-feat", "2", "error: k_feat "),
+        ("--seed", "-1", "error: seed "),
+        ("--jitter-aug", "-0.5", "error: jitter sigma "),
     ], ids=["labels-outside-classes", "no-classes", "negative-lr", "negative-head-epochs",
-            "small-k-feat"])
+            "small-k-feat", "negative-seed", "negative-jitter"])
     def test_invalid_pretrain_input_is_an_error_line_and_writes_no_checkpoint(
             self, pipeline, tmp_path, capsys, flag, value, message):
         ckpt = tmp_path / "ckpt.bin"
@@ -158,6 +178,27 @@ class TestPipeline:
         assert rc == 1
         assert capsys.readouterr().err.startswith(message)
         assert not ckpt.exists()
+
+
+    def test_negative_seed_with_jitter_is_an_error_line_and_writes_no_checkpoint(
+            self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.bin"
+        rc = cli.main(["pretrain", str(pipeline / "seq"), "--out", str(ckpt),
+                       "--jitter-aug", "0.05", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed ")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["adapt", "ablate"])
+    def test_non_finite_checkpoint_is_an_error_line(self, pipeline, tmp_path, capsys,
+                                                    command):
+        params = model.NetworkParams.load(pipeline / "ckpt.bin")
+        params.tensors["embed_w"][0, 0] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        params.save(ckpt)
+        assert cli.main([command, str(pipeline / "seq"), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: tensor embed_w ")
 
 
 class TestErrorPaths:
@@ -251,6 +292,17 @@ class TestErrorPaths:
         assert cli.main(["generate", str(tmp_path / "seq"), "--scene", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{cfg}:2" in err
+
+    @pytest.mark.parametrize("option, text", [("--scene", "seed = -1\n"),
+                                              ("--shift", "seed = -3\n")],
+                             ids=["scene", "shift"])
+    def test_negative_seed_in_a_config_file_is_an_error_line(self, tmp_path, capsys,
+                                                             option, text):
+        cfg = tmp_path / "config.cfg"
+        cfg.write_text(text)
+        assert cli.main(["generate", str(tmp_path / "seq"), option, str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -")
+        assert not (tmp_path / "seq").exists()
 
     def test_missing_scene_file_is_an_error_line(self, tmp_path, capsys):
         missing = tmp_path / "none.cfg"

@@ -90,6 +90,16 @@ class TestFields:
         with pytest.raises(ValueError):
             ProbabilityField(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_probability_rejects_non_finite(self, bad):
+        # every comparison with NaN is false, so the range and sum checks pass it
+        p = np.full((2, 3), 1 / 3)
+        p[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityField(p)
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityField(np.full((2, 3), np.nan))
+
     def test_probability_accepts_valid(self):
         rng = np.random.default_rng(1)
         p = rng.dirichlet(np.ones(5), size=20)

@@ -326,6 +326,37 @@ class TestRunTta:
         strip = ["," .join(line.split(",")[:-1]) for line in with_time.splitlines()]
         assert strip == without.splitlines()
 
+    def test_cumulative_scores_derive_from_the_confusion(self, tmp_path):
+        frames = tiny_stream(4)
+        rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig(),
+                                 dump_dir=tmp_path)
+        # the running confusion is the sum over the dumped predictions
+        total = harness.empty_confusion(7)
+        for f in frames:
+            pred = LabelField(stream.read_label_file(tmp_path / f"{f.frame_id:06d}.label"))
+            total, _ = harness.accumulate_confusion(total, pred, LabelField(f.gt_labels))
+        for counts, expected in zip(rep.confusion, total):
+            np.testing.assert_array_equal(counts, expected)
+        _, miou = harness.iou_from_confusion(rep.confusion)
+        assert rep.cumulative_miou == miou
+        assert rep.improvement == miou - rep.source_cumulative_miou
+        header, classes = rep.table_text().split("\n\n")
+        assert classes == harness.class_table(rep.class_names, rep.confusion)
+        assert header.splitlines()[1] == f"cumulative mIoU: {100 * miou:.2f}%"
+
+    def test_record_without_ground_truth_leaves_the_confusion(self):
+        rep = harness.RunReport(("a", "b"), {})
+        pred = LabelField(np.array([0, 1, 1]))
+        rep.record(5, pred, LabelField(np.array([0, 1, 0])), 0.1)
+        before = [counts.copy() for counts in rep.confusion]
+        rep.record(6, pred, None, 0.2)
+        assert rep.frame_ids == [5, 6] and rep.per_frame_time == [0.1, 0.2]
+        assert np.isnan(rep.per_frame_miou[1]) and np.isnan(rep.per_frame_iou[1]).all()
+        for counts, expected in zip(rep.confusion, before):
+            np.testing.assert_array_equal(counts, expected)
+        # class a: tp=1 fn=1; class b: tp=1 fp=1
+        assert rep.cumulative_miou == rep.per_frame_miou[0] == pytest.approx(0.5)
+
     def test_table_text_mentions_improvement(self):
         frames = tiny_stream(2)
         rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig())

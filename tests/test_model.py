@@ -251,6 +251,16 @@ class TestCheckpoint:
             model.NetworkParams.load(path)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_names_file_and_tensor(self, tmp_path, bad):
+        params = random_params()
+        params.tensors["embed_w"][3, 1] = bad
+        path = tmp_path / "ckpt.bin"
+        params.save(path)
+        with pytest.raises(MalformedRecord, match=f"{path}: tensor embed_w holds a non-finite"):
+            model.NetworkParams.load(path)
+
+
 #: The encoder and predictor heads: the only tensors the head warm-up trains.
 HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",
               "pred1_w", "pred1_b", "pred2_w", "pred2_b")
