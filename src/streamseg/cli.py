@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import harness, model, stream
 from .core import ClassMap, LabelField, remap_labels
-from .errors import EmptyInput, LengthMismatch, StreamSegError
+from .errors import ConfigInvalid, EmptyInput, LabelOutOfRange, LengthMismatch, StreamSegError
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
@@ -84,6 +84,14 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    if args.dump_pred or args.report:
+        # each sequence's dump directory and report file are named after its base name
+        names = [Path(seq_dir).name for seq_dir in args.sequences]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigInvalid(f"sequences {args.sequences[names.index(name)]} and "
+                                    f"{args.sequences[i]} share the name '{name}', "
+                                    "so their outputs would overwrite each other")
     params = model.NetworkParams.load(args.checkpoint)
     config = _config_from_args(args)
     class_map = _load_class_map(args.class_map)
@@ -130,8 +138,8 @@ def cmd_eval(args) -> int:
         gt = remap_labels(stream.read_label_file(gt_files[stem]), class_map)
         try:
             total, _ = harness.accumulate_confusion(total, pred, gt)
-        except LengthMismatch as e:
-            raise LengthMismatch(f"frame {stem}: {e}") from e
+        except (LengthMismatch, LabelOutOfRange) as e:
+            raise type(e)(f"frame {stem}: {e}") from e
     print(harness.class_table(class_map.canonical_names, total), end="")
     return 0
 

@@ -27,6 +27,10 @@ class LengthMismatch(StreamSegError):
     pass
 
 
+class LabelOutOfRange(StreamSegError):
+    pass
+
+
 class ShapeMismatch(StreamSegError):
     pass
 
@@ -60,7 +64,12 @@ class CheckpointMismatch(StreamSegError):
 # -- stream I/O --------------------------------------------------------------
 
 class ConfigInvalid(StreamSegError):
-    pass
+    @classmethod
+    def check(cls, config, checks):
+        """Raise for the first (field name, holds, bound) of `config` that does not hold."""
+        for name, ok, bound in checks:
+            if not ok:
+                raise cls(f"{name} must be {bound}, got {getattr(config, name)}")
 
 
 class IoFailure(StreamSegError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import local_labels, prototypes, spatial
 from .core import (IGNORE, ClassMap, ConfidenceField, Frame, LabelField, SelectionMask,
                    remap_labels, validate_frame)
-from .errors import CheckpointMismatch, ConfigInvalid, LengthMismatch
+from .errors import CheckpointMismatch, ConfigInvalid, LabelOutOfRange, LengthMismatch
 from .model import (
     NetworkParams,
     OptimizerState,
@@ -65,9 +65,7 @@ class AdaptConfig:
                   ("beta_hat", 0 <= self.beta_hat <= 1, "in [0, 1]"),
                   ("lr", self.lr >= 0, ">= 0"),
                   ("wd", self.wd >= 0, ">= 0"))
-        for name, ok, bound in checks:
-            if not ok:
-                raise ConfigInvalid(f"{name} must be {bound}, got {getattr(self, name)}")
+        ConfigInvalid.check(self, checks)
 
 
 @dataclass
@@ -94,6 +92,9 @@ def confusion_matrix(pred: LabelField, gt: LabelField, num_classes: int) -> np.n
     if len(pred) != len(gt):
         raise LengthMismatch(
             f"prediction has {len(pred)} labels, ground truth has {len(gt)}")
+    bad = pred.values[pred.values >= num_classes]   # LabelField rules out ids below IGNORE
+    if len(bad):
+        raise LabelOutOfRange(f"predicted class id {bad[0]} is outside [0, {num_classes})")
     keep = gt.values != IGNORE
     g = gt.values[keep]
     p = pred.values[keep]
@@ -152,7 +153,7 @@ class SourceFrame:
     labels: LabelField          # local pseudo-labels over all points
     scores: ConfidenceField
     selected: SelectionMask
-    temporal: TemporalBatch | None  # pairs to frame t - window, if any
+    pairs: spatial.CorrespondenceSet | None  # to frame t - window, if any
 
 
 def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig,
@@ -172,20 +173,18 @@ def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig
     labels, scores, selected = local_labels.run_lgl(
         source_probs, index, config.k, config.lam, source_params.num_classes)
 
-    temporal = None
-    if partner is not None:
-        pairs = spatial.match_correspondences(frame, partner.frame, config.tau, index_t=index)
-        if len(pairs):
-            temporal = TemporalBatch(partner.features, pairs.idx_t, pairs.idx_prev,
-                                     scores.values, partner.scores.values)
-    return SourceFrame(frame, feats, source_pred, labels, scores, selected, temporal)
+    pairs = (None if partner is None
+             else spatial.match_correspondences(frame, partner.frame, config.tau, index_t=index))
+    return SourceFrame(frame, feats, source_pred, labels, scores, selected, pairs)
 
 
-def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
+def target_stage(state: AdaptationState, source: SourceFrame,
+                 partner: SourceFrame | None) -> LabelField:
     """Evaluate the adapted model on the frame, then take one Adam step.
 
-    Returns the prediction made before the update, so the evaluation protocol
-    always scores the model adapted to the previous frame.
+    `partner` is the source stage `source.pairs` match into. Returns the
+    prediction made before the update, so the evaluation protocol always
+    scores the model adapted to the previous frame.
     """
     cfg = state.config
     num_classes = state.target_params.num_classes
@@ -206,8 +205,13 @@ def target_stage(state: AdaptationState, source: SourceFrame) -> LabelField:
                 source.labels if cfg.use_alg else supervision, global_labels)
 
     temporal_batch = None
-    if cfg.use_tgr and source.temporal is not None:
-        temporal_batch = replace(source.temporal, confidence_weighted=cfg.use_cw)
+    if cfg.use_tgr and source.pairs is not None:
+        if cfg.use_cw:
+            s_t, s_prev = source.scores.values, partner.scores.values
+        else:
+            s_t, s_prev = np.ones(len(source.features)), np.ones(len(partner.features))
+        temporal_batch = TemporalBatch(partner.features, source.pairs.idx_t,
+                                       source.pairs.idx_prev, s_t, s_prev)
 
     loss, grads, _ = loss_and_grad(state.target_params, fp, supervision, source.scores,
                                    cfg.beta_hat, temporal_batch)
@@ -234,7 +238,6 @@ class RunReport:
     """Per-frame metrics of one adaptation run, recorded frame by frame."""
 
     class_names: tuple
-    config: dict
     source_cumulative_miou: float = float("nan")   # set when the pass ends
     frame_ids: list = field(default_factory=list)
     per_frame_iou: list = field(default_factory=list)   # arrays with NaN for absent classes
@@ -304,7 +307,7 @@ def _run_rows(frames, source_params: NetworkParams, states: list, class_map: Cla
     config = states[0].config
     match = any(state.config.use_tgr for state in states)
     history = deque(maxlen=config.window)
-    reports = [RunReport(class_map.canonical_names, asdict(state.config)) for state in states]
+    reports = [RunReport(class_map.canonical_names) for _ in states]
     source_total = empty_confusion(class_map.num_classes)
     for frame in frames:
         gt = None
@@ -317,12 +320,11 @@ def _run_rows(frames, source_params: NetworkParams, states: list, class_map: Cla
         source_time = time.perf_counter() - start
         for state, report in zip(states, reports):
             start = time.perf_counter()
-            eval_pred = target_stage(state, source)
+            eval_pred = target_stage(state, source, partner)
             report.record(frame.frame_id, eval_pred, gt, source_time + time.perf_counter() - start)
             if dump_dir is not None:
                 write_label_file(Path(dump_dir) / f"{frame.frame_id:06d}.label", eval_pred.values)
-        # without its own pairs: they would keep frame t - 2 * window's features alive
-        history.append(replace(source, temporal=None))
+        history.append(source)
 
         if gt is not None:
             source_total, _ = accumulate_confusion(source_total, source.source_pred, gt)

@@ -47,17 +47,18 @@ class SceneConfig:
     point_density: float = 4.0     # road points per square meter
 
     def validate(self):
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
-        if self.frames < 1 or self.ego_step < 0 or self.sensor_range <= 0:
-            raise ConfigInvalid("frames must be >= 1, ego_step >= 0, sensor_range > 0")
-        if not np.isfinite([self.ego_step, self.yaw_step]).all():
-            raise ConfigInvalid("motion increments must be finite")
-        if min(self.vehicle_spacing, self.pedestrian_spacing,
-               self.vegetation_spacing) <= 0 or self.point_density <= 0:
-            raise ConfigInvalid("spacings and density must be positive")
-        if max(self.vehicle_spacing, self.pedestrian_spacing,
-               self.vegetation_spacing) > 2 * self.sensor_range:
+        spacings = ("vehicle_spacing", "pedestrian_spacing", "vegetation_spacing")
+        positive = ("sensor_range", "road_half_width", "sidewalk_width", "terrain_width",
+                    "wall_height", "point_density") + spacings
+        checks = [("seed", self.seed >= 0, ">= 0"),
+                  ("frames", self.frames >= 1, ">= 1"),
+                  ("ego_step", 0 <= self.ego_step < np.inf, "finite and >= 0"),
+                  ("yaw_step", np.isfinite(self.yaw_step), "finite"),
+                  ("sensor_height", np.isfinite(self.sensor_height), "finite")]
+        checks += [(name, 0 < getattr(self, name) < np.inf, "finite and > 0")
+                   for name in positive]
+        ConfigInvalid.check(self, checks)
+        if not max(getattr(self, name) for name in spacings) <= 2 * self.sensor_range:
             raise ConfigInvalid("instance spacing exceeds sensor coverage; "
                                 "some classes would vanish from frames")
 
@@ -73,12 +74,13 @@ class ShiftConfig:
     seed: int = 0
 
     def validate(self):
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
-        if self.jitter_sigma < 0 or self.density_factor <= 0:
-            raise ConfigInvalid("jitter_sigma must be >= 0 and density_factor > 0")
+        checks = (("seed", self.seed >= 0, ">= 0"),
+                  ("jitter_sigma", 0 <= self.jitter_sigma < np.inf, "finite and >= 0"),
+                  ("density_factor", 0 < self.density_factor < np.inf, "finite and > 0"),
+                  ("sensor_height_offset", np.isfinite(self.sensor_height_offset), "finite"))
+        ConfigInvalid.check(self, checks)
         d = np.asarray(self.class_dropout, dtype=np.float64)
-        if d.shape != (_NUM_CLASSES,) or np.any(d < 0) or np.any(d >= 1):
+        if not (d.shape == (_NUM_CLASSES,) and np.all((0 <= d) & (d < 1))):
             raise ConfigInvalid(f"class_dropout must be {_NUM_CLASSES} probabilities in [0, 1)")
 
 

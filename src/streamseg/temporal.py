@@ -18,28 +18,24 @@ _NORM_EPS = 1e-12
 
 @dataclass
 class TemporalBatch:
-    """Inputs for the cross-frame consistency term of the total loss."""
+    """Inputs for the cross-frame consistency term of the total loss.
+
+    `s_t` and `s_prev` weight each pair by the other frame's confidence;
+    arrays of ones give the unweighted term.
+    """
 
     features_prev: np.ndarray
     idx_t: np.ndarray
     idx_prev: np.ndarray
     s_t: np.ndarray
     s_prev: np.ndarray
-    confidence_weighted: bool = True
 
 
-def _valid_pair_mask(e_t, q_t, e_prev, q_prev, idx_t, idx_prev):
-    """Pairs whose encoder/predictor outputs are all normalizable."""
-    def ok(x):
-        return np.linalg.norm(x, axis=1) > _NORM_EPS
-
-    return (ok(e_t[idx_t]) & ok(q_t[idx_t]) & ok(e_prev[idx_prev]) & ok(q_prev[idx_prev]))
-
-
-def _normalize_rows(a):
-    """(a / ||a||, ||a||) row-wise; the caller guarantees non-degenerate rows."""
-    n = np.linalg.norm(a, axis=1, keepdims=True)
-    return a / n, n
+def _unit_rows(a, idx):
+    """(a[idx] with each non-degenerate row divided by its norm, the norms as a column)."""
+    rows = a[idx]
+    norm = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norm, out=rows, where=norm > _NORM_EPS), norm
 
 
 def _predictor_grad(g_qn, qn, norm, idx, num_rows):
@@ -61,24 +57,18 @@ def temporal_term(heads_t, heads_prev, batch: TemporalBatch):
     d loss / d q_prev). Gradients flow only through the predictor branch of
     each direction; the encoder branch is detached.
     """
-    keep = _valid_pair_mask(heads_t.e, heads_t.q, heads_prev.e, heads_prev.q,
-                            batch.idx_t, batch.idx_prev)
-    idx_t = batch.idx_t[keep]
-    idx_prev = batch.idx_prev[keep]
-    if len(idx_t) == 0:
+    rows = [_unit_rows(heads_t.q, batch.idx_t), _unit_rows(heads_prev.q, batch.idx_prev),
+            _unit_rows(heads_prev.e, batch.idx_prev), _unit_rows(heads_t.e, batch.idx_t)]
+    keep = np.logical_and.reduce([norm[:, 0] > _NORM_EPS for _, norm in rows])
+    if not keep.any():
         return None
-
-    if batch.confidence_weighted:
-        w_fwd = batch.s_prev[idx_prev]   # weight of the z^{t-w} side
-        w_bwd = batch.s_t[idx_t]         # weight of the z^t side
-    else:
-        w_fwd = np.ones(len(idx_t))
-        w_bwd = np.ones(len(idx_t))
-
-    qn_t, norm_t = _normalize_rows(heads_t.q[idx_t])
-    qn_prev, norm_prev = _normalize_rows(heads_prev.q[idx_prev])
-    zn_prev, _ = _normalize_rows(heads_prev.e[idx_prev])
-    zn_t, _ = _normalize_rows(heads_t.e[idx_t])
+    idx_t, idx_prev = batch.idx_t, batch.idx_prev
+    if not keep.all():   # drop the degenerate pairs
+        idx_t, idx_prev = idx_t[keep], idx_prev[keep]
+        rows = [(unit[keep], norm[keep]) for unit, norm in rows]
+    (qn_t, norm_t), (qn_prev, norm_prev), (zn_prev, _), (zn_t, _) = rows
+    w_fwd = batch.s_prev[idx_prev]   # weight of the z^{t-w} side
+    w_bwd = batch.s_t[idx_t]         # weight of the z^t side
 
     fwd = w_fwd * np.einsum("nd,nd->n", qn_t, zn_prev)
     bwd = w_bwd * np.einsum("nd,nd->n", qn_prev, zn_t)

@@ -10,7 +10,9 @@ import numpy as np
 
 from streamseg import autodiff as ad
 from streamseg import model
-from streamseg.temporal import _valid_pair_mask
+
+#: Rows with a norm at or below this are degenerate: their pair is skipped.
+NORM_EPS = 1e-12
 
 
 def make_leaves(params):
@@ -54,19 +56,17 @@ def temporal_term(leaves, z_t, batch):
     _, z_prev, _ = forward_graph(leaves, batch.features_prev)
     e_prev, q_prev = heads_graph(leaves, z_prev)
 
-    keep = _valid_pair_mask(e_t.value, q_t.value, e_prev.value, q_prev.value,
-                            batch.idx_t, batch.idx_prev)
+    keep = np.ones(len(batch.idx_t), dtype=bool)
+    for x, idx in ((e_t, batch.idx_t), (q_t, batch.idx_t),
+                   (e_prev, batch.idx_prev), (q_prev, batch.idx_prev)):
+        keep &= np.linalg.norm(x.value[idx], axis=1) > NORM_EPS
     idx_t = batch.idx_t[keep]
     idx_prev = batch.idx_prev[keep]
     if len(idx_t) == 0:
         return None
 
-    if batch.confidence_weighted:
-        w_fwd = batch.s_prev[idx_prev]
-        w_bwd = batch.s_t[idx_t]
-    else:
-        w_fwd = np.ones(len(idx_t))
-        w_bwd = np.ones(len(idx_t))
+    w_fwd = batch.s_prev[idx_prev]
+    w_bwd = batch.s_t[idx_t]
 
     qn_t = ad.l2_normalize_rows(ad.gather_rows(q_t, idx_t))
     qn_prev = ad.l2_normalize_rows(ad.gather_rows(q_prev, idx_prev))

@@ -122,8 +122,9 @@ class TestLossAndGradEqualsTape:
         assert_bitwise(got, want)
 
     def test_unweighted_pairs(self):
+        # unit weights: the batch `target_stage` builds when use_cw is off
         params, feats, labels, s, batch = case(5)
-        batch.confidence_weighted = False
+        batch.s_t, batch.s_prev = np.ones(N_T), np.ones(N_PREV)
         got, want = both(params, feats, labels, s, batch)
         assert_bitwise(got, want)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ class TestPipeline:
                        "--checkpoint", str(pipeline / "ckpt.bin"), "--continual"])
         assert rc == 0
 
+    @pytest.mark.parametrize("option", ["--dump-pred", "--report"])
+    def test_outputs_of_two_sequences_with_one_name_are_an_error_line(
+            self, pipeline, tmp_path, capsys, monkeypatch, option):
+        seqs = [tmp_path / parent / "seq" for parent in ("a", "b")]
+        for seq in seqs:
+            shutil.copytree(pipeline / "seq", seq)
+        monkeypatch.setattr(harness, "run_tta", None)   # no sequence may be adapted
+        out = tmp_path / "out"
+        rc = cli.main(["adapt", *map(str, seqs), "--checkpoint", str(pipeline / "ckpt.bin"),
+                       option, str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(seqs[0]) in err and str(seqs[1]) in err
+        assert list(tmp_path.glob("out*")) == []
+
     def test_invalid_config_is_an_error_line(self, pipeline, capsys):
         rc = cli.main(["adapt", str(pipeline / "seq"),
                        "--checkpoint", str(pipeline / "ckpt.bin"), "--window", "0"])
@@ -230,6 +246,17 @@ class TestErrorPaths:
         assert cli.main(["eval", str(pred), str(gt)]) == 1
         assert "error: frame 000004" in capsys.readouterr().err
 
+    def test_eval_out_of_range_prediction_names_the_frame(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        for stem, ids in (("000001", [0, 1, 2]), ("000002", [0, 9, 2])):
+            stream.write_label_file(pred / f"{stem}.label", np.array(ids))
+            stream.write_label_file(gt / f"{stem}.label", np.array([0, 6, 2]))
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame 000002: predicted class id 9 is outside [0, 7)")
+
     @pytest.mark.parametrize("table, message", [
         ("0 0\n1 2 3\n", "map.txt:2: expected 'raw_id canonical_id'"),
         ("0 0\nseven 1\n", "map.txt:2: expected 'raw_id canonical_id'"),
@@ -302,6 +329,17 @@ class TestErrorPaths:
         cfg.write_text(text)
         assert cli.main(["generate", str(tmp_path / "seq"), option, str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -")
+        assert not (tmp_path / "seq").exists()
+
+    @pytest.mark.parametrize("option, key", [("--scene", "point_density"),
+                                             ("--scene", "wall_height"),
+                                             ("--shift", "density_factor"),
+                                             ("--shift", "jitter_sigma")])
+    def test_nan_in_a_config_file_is_an_error_line(self, tmp_path, capsys, option, key):
+        cfg = tmp_path / "config.cfg"
+        cfg.write_text(f"{key} = nan\n")
+        assert cli.main(["generate", str(tmp_path / "seq"), option, str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite and ")
         assert not (tmp_path / "seq").exists()
 
     def test_missing_scene_file_is_an_error_line(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Metrics, the evaluation protocol, and the adaptation loop plumbing."""
 
+import dataclasses
 import sys
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from streamseg.core import ClassMap, IGNORE, LabelField
-from streamseg.errors import CheckpointMismatch, ConfigInvalid, LengthMismatch
+from streamseg.errors import CheckpointMismatch, ConfigInvalid, LabelOutOfRange, LengthMismatch
 from streamseg import harness, model, spatial, stream
 
 
@@ -38,7 +39,7 @@ def step_frame(source_params, state, history, frame):
     cfg = state.config
     partner = history[0] if cfg.use_tgr and len(history) == cfg.window else None
     source = harness.source_stage(source_params, frame, cfg, partner)
-    eval_pred = harness.target_stage(state, source)
+    eval_pred = harness.target_stage(state, source, partner)
     history.append(source)
     del history[:-cfg.window]
     return eval_pred, source.source_pred
@@ -74,6 +75,29 @@ def calls_per_frame(monkeypatch, frames, run):
 
     run(Frames())
     return per_frame
+
+
+def handed_batch(monkeypatch, cfg):
+    """Frames 0 and 1 of a tiny stream through the source stage, then frame 1's target stage.
+
+    `cfg.window` must be 1. Returns (the TemporalBatch `target_stage` hands
+    to `loss_and_grad`, frame 1's source stage, frame 0's).
+    """
+    frames = tiny_stream(2)
+    params = tiny_params()
+    partner = harness.source_stage(params, frames[0], cfg, None)
+    source = harness.source_stage(params, frames[1], cfg, partner)
+    batches = []
+    real = harness.loss_and_grad
+
+    def record(*args):
+        batches.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "loss_and_grad", record)
+    harness.target_stage(harness.AdaptationState.init(params, cfg), source, partner)
+    [batch] = batches
+    return batch, source, partner
 
 
 class TestIouMetrics:
@@ -123,6 +147,14 @@ class TestIouMetrics:
         with pytest.raises(LengthMismatch, match="3 labels.*5"):
             harness.confusion_matrix(LabelField(np.zeros(3, dtype=np.int64)),
                                      LabelField(np.zeros(5, dtype=np.int64)), 2)
+
+    @pytest.mark.parametrize("pred, gt", [(7, 0), (9, 6), (7, IGNORE)],
+                             ids=["booked-as-next-class", "past-the-matrix", "on-ignored-gt"])
+    def test_out_of_range_prediction_is_rejected(self, pred, gt):
+        # C = 7: g*C + p would book (0, 7) as (1, 0), and (6, 9) past the matrix
+        with pytest.raises(LabelOutOfRange, match=f"^predicted class id {pred} .*\\[0, 7\\)"):
+            harness.confusion_matrix(LabelField(np.array([0, pred])),
+                                     LabelField(np.array([0, gt])), 7)
 
     def test_confusion_accumulates_over_frames(self):
         gt = LabelField(np.array([0, 1]))
@@ -199,17 +231,55 @@ class TestSourceStage:
         per_frame = calls_per_frame(monkeypatch, frames, lambda source: sources.extend(
             harness.source_stage(tiny_params(), f, cfg, None) for f in source))
         assert per_frame[0].count("knn") == 1
-        assert sources[0].temporal is None
+        assert sources[0].pairs is None
 
-    def test_partner_arrays_are_shared_not_copied(self):
-        frames = tiny_stream(2)
-        params = tiny_params()
-        cfg = harness.AdaptConfig(window=1)
-        partner = harness.source_stage(params, frames[0], cfg, None)
-        source = harness.source_stage(params, frames[1], cfg, partner)
-        assert source.temporal is not None
-        assert source.temporal.features_prev is partner.features
-        assert source.temporal.s_prev is partner.scores.values
+    def test_partner_arrays_are_shared_not_copied(self, monkeypatch):
+        batch, source, partner = handed_batch(monkeypatch, harness.AdaptConfig(window=1))
+        assert len(source.pairs)
+        assert batch.features_prev is partner.features
+        assert batch.s_t is source.scores.values
+        assert batch.s_prev is partner.scores.values
+        assert batch.idx_t is source.pairs.idx_t
+        assert batch.idx_prev is source.pairs.idx_prev
+
+    def test_unweighted_batch_has_unit_weights(self, monkeypatch):
+        batch, source, partner = handed_batch(monkeypatch,
+                                              harness.AdaptConfig(window=1, use_cw=False))
+        np.testing.assert_array_equal(batch.s_t, np.ones(source.frame.num_points))
+        np.testing.assert_array_equal(batch.s_prev, np.ones(partner.frame.num_points))
+
+    def test_stored_stage_holds_only_its_own_frame(self, monkeypatch):
+        # the history keeps each source stage as returned, and no stage
+        # refers to an array of another frame
+        def arrays_of(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if dataclasses.is_dataclass(obj):
+                return [a for f in dataclasses.fields(obj)
+                        for a in arrays_of(getattr(obj, f.name))]
+            return []
+
+        sources, partners = [], []
+        source_stage, target_stage = harness.source_stage, harness.target_stage
+
+        def record_source(*args):
+            sources.append(source_stage(*args))
+            return sources[-1]
+
+        def record_target(state, source, partner):
+            partners.append(partner)
+            return target_stage(state, source, partner)
+
+        monkeypatch.setattr(harness, "source_stage", record_source)
+        monkeypatch.setattr(harness, "target_stage", record_target)
+        harness.run_tta(tiny_stream(6), tiny_params(), harness.AdaptConfig(window=2))
+        assert partners[:2] == [None, None]
+        assert all(p is s for p, s in zip(partners[2:], sources))
+        assert all(s.pairs is not None for s in sources[2:])
+        for i, source in enumerate(sources):
+            for other in sources[:i] + sources[i + 1:]:
+                for a in arrays_of(source):
+                    assert not any(np.shares_memory(a, b) for b in arrays_of(other))
 
 
 class TestFiniteGuard:
@@ -345,7 +415,7 @@ class TestRunTta:
         assert header.splitlines()[1] == f"cumulative mIoU: {100 * miou:.2f}%"
 
     def test_record_without_ground_truth_leaves_the_confusion(self):
-        rep = harness.RunReport(("a", "b"), {})
+        rep = harness.RunReport(("a", "b"))
         pred = LabelField(np.array([0, 1, 1]))
         rep.record(5, pred, LabelField(np.array([0, 1, 0])), 0.1)
         before = [counts.copy() for counts in rep.confusion]
@@ -388,7 +458,6 @@ class TestAblation:
             alone, _ = harness.run_tta(frames, params, replace(cfg, **toggles))
             assert rows[name].csv_text(include_time=False) == alone.csv_text(include_time=False)
             assert rows[name].source_cumulative_miou == alone.source_cumulative_miou
-            assert rows[name].config == alone.config
 
     def test_one_pass_iterable_feeds_every_row(self):
         frames = tiny_stream(4)

@@ -1,5 +1,7 @@
 """Synthetic stream generation, shifts, configs, and sequence round-trips."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,24 @@ class TestSceneConfig:
             stream.load_scene_config(p)
 
 
+FLOAT_FIELDS = [(config, f.name) for config in (stream.SceneConfig, stream.ShiftConfig)
+                for f in fields(config) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("config, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
+def test_nan_field_rejected(config, name):
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be .*, got nan$"):
+        config(**{name: float("nan")}).validate()
+
+
 class TestShiftConfig:
     def test_dropout_length_checked(self):
         with pytest.raises(ConfigInvalid):
             stream.ShiftConfig(class_dropout=(0.5, 0.5)).validate()
         with pytest.raises(ConfigInvalid):
             stream.ShiftConfig(class_dropout=(1.0,) + (0.0,) * 6).validate()
+        with pytest.raises(ConfigInvalid):
+            stream.ShiftConfig(class_dropout=(float("nan"),) + (0.0,) * 6).validate()
 
     def test_load_named_dropout(self, tmp_path):
         p = tmp_path / "shift.cfg"

@@ -1,10 +1,12 @@
 """Cross-frame consistency loss: values, stop-gradient, gradcheck."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from streamseg.core import IGNORE, ConfidenceField, LabelField
-from streamseg import model
+from streamseg import model, temporal
 from streamseg.spatial import CorrespondenceSet
 
 
@@ -24,13 +26,11 @@ def make_pairs(n):
     return CorrespondenceSet(idx, idx, np.zeros(n))
 
 
-def consistency_loss(params, feats_t, feats_prev, pairs, s_t, s_prev,
-                     confidence_weighted=True):
+def consistency_loss(params, feats_t, feats_prev, pairs, s_t, s_prev):
     """The consistency term alone: the total loss with all-IGNORE targets."""
     n = len(feats_t)
     batch = model.TemporalBatch(features_prev=feats_prev, idx_t=pairs.idx_t,
-                                idx_prev=pairs.idx_prev, s_t=s_t, s_prev=s_prev,
-                                confidence_weighted=confidence_weighted)
+                                idx_prev=pairs.idx_prev, s_t=s_t, s_prev=s_prev)
     return model.total_loss_and_grad(params, feats_t, LabelField(np.full(n, IGNORE)),
                                      ConfidenceField(np.ones(n)), temporal=batch)
 
@@ -74,8 +74,7 @@ class TestTemporalLoss:
         params, feats_t, _, _ = setup_case(seed=1)
         ones = np.ones(len(feats_t))
         loss, _, _ = consistency_loss(params, feats_t, feats_t,
-                                      make_pairs(len(feats_t)), ones, ones,
-                                      confidence_weighted=False)
+                                      make_pairs(len(feats_t)), ones, ones)
         _, z, _ = model.forward(params, feats_t)
         h = model.heads(params, z)
         e, q = h.e, h.q
@@ -174,3 +173,21 @@ class TestTemporalLoss:
         assert loss == pytest.approx(dice + reg, abs=1e-12)
         assert dice > 0
         assert reg != 0
+
+    def test_degenerate_pair_is_dropped(self):
+        # a zero predictor row cannot be normalized: the term equals the one
+        # over the other pairs, byte for byte, and the row gets no gradient
+        rng = np.random.default_rng(10)
+        heads_t = SimpleNamespace(e=rng.normal(size=(6, 4)), q=rng.normal(size=(6, 4)))
+        heads_prev = SimpleNamespace(e=rng.normal(size=(5, 4)), q=rng.normal(size=(5, 4)))
+        heads_t.q[2] = 0.0
+        idx_t, idx_prev = np.array([0, 2, 5, 3]), np.array([4, 1, 0, 2])
+        s_t, s_prev = rng.random(6), rng.random(5)
+        got = temporal.temporal_term(heads_t, heads_prev,
+                                     model.TemporalBatch(None, idx_t, idx_prev, s_t, s_prev))
+        keep = idx_t != 2
+        want = temporal.temporal_term(heads_t, heads_prev, model.TemporalBatch(
+            None, idx_t[keep], idx_prev[keep], s_t, s_prev))
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert not got[1][2].any() and not got[2][1].any()
