@@ -132,15 +132,15 @@ def cmd_eval(args) -> int:
         raise EmptyInput(f"no .label file in {args.pred} or in {args.gt}")
     if class_map is None:
         class_map = ClassMap.canonical()
-    total = harness.empty_confusion(class_map.num_classes)
+    report = harness.RunReport(class_map.canonical_names)
     for stem in sorted(pred_files):
         pred = LabelField(stream.read_label_file(pred_files[stem]))
         gt = remap_labels(stream.read_label_file(gt_files[stem]), class_map)
         try:
-            total, _ = harness.accumulate_confusion(total, pred, gt)
+            report.record(stem, pred, gt, 0.0)
         except (LengthMismatch, LabelOutOfRange) as e:
             raise type(e)(f"frame {stem}: {e}") from e
-    print(harness.class_table(class_map.canonical_names, total), end="")
+    print(harness.class_table(report.class_names, report.confusion), end="")
     return 0
 
 
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=7)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--wd", type=float, default=1e-5)
-    p.add_argument("--k-feat", type=int, default=20)
+    p.add_argument("--k-feat", type=int, default=harness.AdaptConfig.k_feat,
+                   help="feature neighborhood size; adapt must use the same")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--head-epochs", type=int, default=2,
                    help="heads-only warmup epochs before full training")

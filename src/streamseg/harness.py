@@ -63,8 +63,8 @@ class AdaptConfig:
                   ("eps", self.eps > 0, "> 0"),
                   ("alpha", 0 <= self.alpha < 1, "in [0, 1)"),
                   ("beta_hat", 0 <= self.beta_hat <= 1, "in [0, 1]"),
-                  ("lr", self.lr >= 0, ">= 0"),
-                  ("wd", self.wd >= 0, ">= 0"))
+                  ("lr", 0 <= self.lr < np.inf, "finite and >= 0"),
+                  ("wd", 0 <= self.wd < np.inf, "finite and >= 0"))
         ConfigInvalid.check(self, checks)
 
 
@@ -104,18 +104,6 @@ def confusion_matrix(pred: LabelField, gt: LabelField, num_classes: int) -> np.n
     # IGNORE predictions still count as misses for their gt class
     miss = np.bincount(g[~valid], minlength=num_classes)
     return conf, miss
-
-
-def empty_confusion(num_classes: int):
-    """Zero (conf, miss) counts: the start of a running total."""
-    return (np.zeros((num_classes, num_classes), dtype=np.int64),
-            np.zeros(num_classes, dtype=np.int64))
-
-
-def accumulate_confusion(total, pred: LabelField, gt: LabelField):
-    """(total plus one frame's (conf, miss) counts, the frame's counts)."""
-    frame = confusion_matrix(pred, gt, total[0].shape[0])
-    return (total[0] + frame[0], total[1] + frame[1]), frame
 
 
 def iou_from_confusion(conf_miss):
@@ -235,7 +223,7 @@ def class_table(class_names, confusion) -> str:
 
 @dataclass
 class RunReport:
-    """Per-frame metrics of one adaptation run, recorded frame by frame."""
+    """Per-frame metrics of one model's predictions; `record` keeps the only running total."""
 
     class_names: tuple
     source_cumulative_miou: float = float("nan")   # set when the pass ends
@@ -246,13 +234,16 @@ class RunReport:
     confusion: tuple = field(init=False)   # running (conf, miss) over the scored frames
 
     def __post_init__(self):
-        self.confusion = empty_confusion(len(self.class_names))
+        num_classes = len(self.class_names)
+        self.confusion = (np.zeros((num_classes, num_classes), dtype=np.int64),
+                          np.zeros(num_classes, dtype=np.int64))
 
     def record(self, frame_id: int, pred: LabelField, gt: LabelField | None, seconds: float):
         """Add one frame; a frame without ground truth gets NaN scores."""
         if gt is not None:
-            self.confusion, frame_counts = accumulate_confusion(self.confusion, pred, gt)
-            iou, miou = iou_from_confusion(frame_counts)
+            conf, miss = confusion_matrix(pred, gt, len(self.class_names))
+            self.confusion = (self.confusion[0] + conf, self.confusion[1] + miss)
+            iou, miou = iou_from_confusion((conf, miss))
         else:
             iou, miou = np.full(len(self.class_names), np.nan), float("nan")
         self.frame_ids.append(frame_id)
@@ -308,7 +299,7 @@ def _run_rows(frames, source_params: NetworkParams, states: list, class_map: Cla
     match = any(state.config.use_tgr for state in states)
     history = deque(maxlen=config.window)
     reports = [RunReport(class_map.canonical_names) for _ in states]
-    source_total = empty_confusion(class_map.num_classes)
+    source_report = RunReport(class_map.canonical_names)
     for frame in frames:
         gt = None
         if frame.gt_labels is not None:
@@ -324,14 +315,11 @@ def _run_rows(frames, source_params: NetworkParams, states: list, class_map: Cla
             report.record(frame.frame_id, eval_pred, gt, source_time + time.perf_counter() - start)
             if dump_dir is not None:
                 write_label_file(Path(dump_dir) / f"{frame.frame_id:06d}.label", eval_pred.values)
+        source_report.record(frame.frame_id, source.source_pred, gt, source_time)
         history.append(source)
 
-        if gt is not None:
-            source_total, _ = accumulate_confusion(source_total, source.source_pred, gt)
-
-    _, source_cumulative = iou_from_confusion(source_total)
     for report in reports:
-        report.source_cumulative_miou = source_cumulative
+        report.source_cumulative_miou = source_report.cumulative_miou
     return reports
 
 

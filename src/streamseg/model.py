@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spatial
-from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField
+from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField, validate_frame
 from .errors import ConfigInvalid, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 from .temporal import TemporalBatch, temporal_term
 
@@ -125,8 +125,9 @@ class NetworkParams:
             off += 8 * count
         if len(raw) != 16:
             raise MalformedRecord(f"{path}: expected 16 tensors, found {len(raw)}")
+        # every tensor has a first dimension; the shape check below rejects a wrong rank
         feature_dim = raw[0].shape[0]
-        num_classes = raw[6].shape[1]
+        num_classes = raw[7].shape[0]
         params = cls({})
         expected = _layer_specs(feature_dim, num_classes)
         tensors = {}
@@ -135,6 +136,8 @@ class NetworkParams:
                 raise MalformedRecord(f"{path}: inconsistent shapes for layer {name}")
             tensors[f"{name}_w"] = w
             tensors[f"{name}_b"] = b
+        if num_classes < 2:   # the bound pretrain_source applies
+            raise MalformedRecord(f"{path}: checkpoint has {num_classes} classes, needs >= 2")
         for name, value in tensors.items():
             if not np.isfinite(value).all():
                 raise MalformedRecord(f"{path}: tensor {name} holds a non-finite value")
@@ -392,8 +395,8 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     # num_classes >= 2: adaptation's certainty score divides by log(num_classes)
     for name, value, ok, bound in (("epochs", epochs, epochs >= 1, ">= 1"),
                                    ("num_classes", num_classes, num_classes >= 2, ">= 2"),
-                                   ("lr", lr, lr >= 0, ">= 0"),
-                                   ("wd", wd, wd >= 0, ">= 0"),
+                                   ("lr", lr, 0 <= lr < np.inf, "finite and >= 0"),
+                                   ("wd", wd, 0 <= wd < np.inf, "finite and >= 0"),
                                    ("head_epochs", head_epochs, head_epochs >= 0, ">= 0"),
                                    ("window", window, window >= 1, ">= 1"),
                                    ("seed", seed, seed >= 0, ">= 0")):
@@ -403,6 +406,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     if not frames:
         raise NoGroundTruth("no frames to pretrain on")
     for f in frames:
+        validate_frame(f)
         if f.gt_labels is None:
             raise NoGroundTruth(f"frame {f.frame_id} carries no ground truth")
         known = f.gt_labels[f.gt_labels != IGNORE]

@@ -9,6 +9,7 @@ import pytest
 
 from streamseg import cli, harness, model, stream
 from streamseg.core import Frame
+from test_model import save_tensors
 
 
 TINY_SCENE = """\
@@ -42,6 +43,12 @@ class TestFlagPlumbing:
     def test_defaults_match_adapt_config(self):
         cfg = cli._config_from_args(self.parse())
         assert cfg == harness.AdaptConfig()
+
+    def test_pretrain_k_feat_default_follows_adapt_config(self, monkeypatch):
+        # a checkpoint is only valid on features of the k_feat it was trained with
+        monkeypatch.setattr(harness.AdaptConfig, "k_feat", 12)
+        args = cli.build_parser().parse_args(["pretrain", "seq", "--out", "x"])
+        assert args.k_feat == 12
 
     def test_lambda_maps_to_lam(self):
         cfg = cli._config_from_args(self.parse("--lambda", "55"))
@@ -181,12 +188,15 @@ class TestPipeline:
         ("--classes", "3", "error: frame 0: ground-truth label "),
         ("--classes", "0", "error: num_classes "),
         ("--lr", "-1", "error: lr "),
+        ("--lr", "inf", "error: lr must be finite"),
+        ("--wd", "inf", "error: wd must be finite"),
         ("--head-epochs", "-1", "error: head_epochs "),
         ("--k-feat", "2", "error: k_feat "),
         ("--seed", "-1", "error: seed "),
         ("--jitter-aug", "-0.5", "error: jitter sigma "),
-    ], ids=["labels-outside-classes", "no-classes", "negative-lr", "negative-head-epochs",
-            "small-k-feat", "negative-seed", "negative-jitter"])
+    ], ids=["labels-outside-classes", "no-classes", "negative-lr", "infinite-lr",
+            "infinite-wd", "negative-head-epochs", "small-k-feat", "negative-seed",
+            "negative-jitter"])
     def test_invalid_pretrain_input_is_an_error_line_and_writes_no_checkpoint(
             self, pipeline, tmp_path, capsys, flag, value, message):
         ckpt = tmp_path / "ckpt.bin"
@@ -195,6 +205,22 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith(message)
         assert not ckpt.exists()
 
+
+    @pytest.mark.parametrize("pose, message", [
+        ("nan " * 12, "error: frame 2: pose must be a finite 4x4 matrix"),
+        ("2 0 0 0 0 1 0 0 0 0 1 0", "error: frame 2: rotation block is not orthonormal"),
+    ], ids=["nan", "scaled"])
+    def test_invalid_pose_in_pretrain_is_an_error_line_and_writes_no_checkpoint(
+            self, pipeline, tmp_path, capsys, pose, message):
+        seq = tmp_path / "seq"
+        shutil.copytree(pipeline / "seq", seq)
+        poses = (seq / "poses.txt").read_text().splitlines()
+        poses[2] = pose
+        (seq / "poses.txt").write_text("\n".join(poses) + "\n")
+        ckpt = tmp_path / "ckpt.bin"
+        assert cli.main(["pretrain", str(seq), "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not ckpt.exists()
 
     def test_negative_seed_with_jitter_is_an_error_line_and_writes_no_checkpoint(
             self, pipeline, tmp_path, capsys):
@@ -215,6 +241,20 @@ class TestPipeline:
         assert cli.main([command, str(pipeline / "seq"), "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: tensor embed_w ")
+
+    @pytest.mark.parametrize("classifier, message", [
+        ((np.zeros(32 * 7), np.zeros(7)), "inconsistent shapes for layer classifier"),
+        ((np.zeros((32, 1)), np.zeros(1)), "checkpoint has 1 classes"),
+    ], ids=["rank-one-weight", "one-class"])
+    def test_malformed_checkpoint_in_adapt_is_an_error_line(self, pipeline, tmp_path, capsys,
+                                                            classifier, message):
+        params = model.NetworkParams.load(pipeline / "ckpt.bin")
+        tensors = [params.tensors[name] for name in params.names()]
+        tensors[6:8] = classifier
+        ckpt = tmp_path / "bad.bin"
+        save_tensors(ckpt, tensors)
+        assert cli.main(["adapt", str(pipeline / "seq"), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: {message}")
 
 
 class TestErrorPaths:

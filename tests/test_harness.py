@@ -159,19 +159,22 @@ class TestIouMetrics:
     def test_confusion_accumulates_over_frames(self):
         gt = LabelField(np.array([0, 1]))
         pred = LabelField(np.array([0, 0]))
-        total = harness.empty_confusion(2)
-        for _ in range(2):
-            total, one = harness.accumulate_confusion(total, pred, gt)
-        iou, _ = harness.iou_from_confusion(total)
+        rep = harness.RunReport(("a", "b"))
+        for frame_id in range(2):
+            rep.record(frame_id, pred, gt, 0.0)
+        iou, _ = harness.iou_from_confusion(rep.confusion)
         np.testing.assert_allclose(iou, [2 / 4, 0.0])
-        np.testing.assert_array_equal(one[0], harness.confusion_matrix(pred, gt, 2)[0])
+        one = harness.confusion_matrix(pred, gt, 2)
+        np.testing.assert_array_equal(rep.confusion[0], 2 * one[0])
+        # each frame's scores come from that frame's counts alone
+        np.testing.assert_array_equal(rep.per_frame_iou[-1], harness.iou_from_confusion(one)[0])
 
 
 class TestAdaptConfig:
     @pytest.mark.parametrize("field, value", [
         ("window", 0), ("k", -1), ("k_feat", 2), ("lam", 100.0), ("tau", 0.0), ("eps", 0.0),
         ("alpha", 1.0), ("alpha", -0.1), ("beta_hat", 3.0), ("beta_hat", -0.1),
-        ("lr", -1.0), ("wd", -1e-5),
+        ("lr", -1.0), ("wd", -1e-5), ("lr", np.inf), ("wd", np.inf), ("lr", np.nan),
     ])
     def test_invalid_value_rejected_up_front(self, field, value):
         with pytest.raises(ConfigInvalid, match=f"^{field} "):
@@ -401,10 +404,12 @@ class TestRunTta:
         rep, _ = harness.run_tta(frames, tiny_params(), harness.AdaptConfig(),
                                  dump_dir=tmp_path)
         # the running confusion is the sum over the dumped predictions
-        total = harness.empty_confusion(7)
-        for f in frames:
-            pred = LabelField(stream.read_label_file(tmp_path / f"{f.frame_id:06d}.label"))
-            total, _ = harness.accumulate_confusion(total, pred, LabelField(f.gt_labels))
+        frame_counts = [
+            harness.confusion_matrix(
+                LabelField(stream.read_label_file(tmp_path / f"{f.frame_id:06d}.label")),
+                LabelField(f.gt_labels), 7)
+            for f in frames]
+        total = [sum(counts[i] for counts in frame_counts) for i in (0, 1)]
         for counts, expected in zip(rep.confusion, total):
             np.testing.assert_array_equal(counts, expected)
         _, miou = harness.iou_from_confusion(rep.confusion)
@@ -413,6 +418,17 @@ class TestRunTta:
         header, classes = rep.table_text().split("\n\n")
         assert classes == harness.class_table(rep.class_names, rep.confusion)
         assert header.splitlines()[1] == f"cumulative mIoU: {100 * miou:.2f}%"
+
+    def test_source_score_is_a_report_of_the_source_argmax(self):
+        frames = tiny_stream(4)
+        params, config = tiny_params(), harness.AdaptConfig()
+        rep, _ = harness.run_tta(frames, params, config)
+        source = harness.RunReport(rep.class_names)
+        for f in frames:
+            probs, _, _ = model.forward(params, harness.frame_features(f, config.k_feat)[1])
+            source.record(f.frame_id, LabelField(np.argmax(probs.values, axis=1)),
+                          LabelField(f.gt_labels), 0.0)
+        assert rep.source_cumulative_miou == source.cumulative_miou
 
     def test_record_without_ground_truth_leaves_the_confusion(self):
         rep = harness.RunReport(("a", "b"))

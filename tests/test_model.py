@@ -1,16 +1,27 @@
 """Network forward/backward, losses, Adam, checkpoints, pretraining."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from streamseg.core import ConfidenceField, Frame, IGNORE, LabelField, ProbabilityField
-from streamseg.errors import ConfigInvalid, MalformedRecord, NoGroundTruth, ShapeMismatch
+from streamseg.errors import (ConfigInvalid, InvalidPose, MalformedRecord, NoGroundTruth,
+                              ShapeMismatch)
 from streamseg import model
 from streamseg.spatial import build_index, local_geometric_features
 
 
 def random_params(seed=0, feature_dim=9, num_classes=4):
     return model.NetworkParams.init(feature_dim, num_classes, seed=seed)
+
+
+def save_tensors(path, arrays):
+    """Write `arrays` in checkpoint layout, in order, whatever their shapes."""
+    with open(path, "wb") as f:
+        f.write(b"HGL1")
+        for a in arrays:
+            f.write(struct.pack(f"<{1 + a.ndim}I", a.ndim, *a.shape) + a.astype("<f8").tobytes())
 
 
 def soft_dice_loss(probs, targets, s, beta_hat=0.3):
@@ -260,6 +271,24 @@ class TestCheckpoint:
         with pytest.raises(MalformedRecord, match=f"{path}: tensor embed_w holds a non-finite"):
             model.NetworkParams.load(path)
 
+    def test_rank_one_classifier_weight_is_malformed(self, tmp_path):
+        params = random_params()
+        tensors = [params.tensors[name] for name in params.names()]
+        tensors[6] = tensors[6].ravel()   # classifier_w
+        path = tmp_path / "ckpt.bin"
+        save_tensors(path, tensors)
+        with pytest.raises(MalformedRecord, match=f"{path}: inconsistent shapes .* classifier$"):
+            model.NetworkParams.load(path)
+
+    @pytest.mark.parametrize("num_classes", [0, 1])
+    def test_fewer_than_two_classes_is_malformed(self, tmp_path, num_classes):
+        # adaptation's certainty score divides by log(num_classes)
+        path = tmp_path / "ckpt.bin"
+        random_params(num_classes=num_classes).save(path)
+        with pytest.raises(MalformedRecord,
+                           match=f"{path}: checkpoint has {num_classes} classes, needs >= 2"):
+            model.NetworkParams.load(path)
+
 
 #: The encoder and predictor heads: the only tensors the head warm-up trains.
 HEAD_NAMES = ("enc1_w", "enc1_b", "enc2_w", "enc2_b",
@@ -343,7 +372,7 @@ class TestPretrain:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("num_classes", 1), ("lr", -1.0), ("wd", -1e-5), ("head_epochs", -1),
-        ("window", 0),
+        ("window", 0), ("lr", np.inf), ("wd", np.inf),
     ])
     def test_invalid_value_rejected_before_any_work(self, field, value):
         def no_features(frame):
@@ -352,6 +381,20 @@ class TestPretrain:
         kwargs = dict(epochs=1, seed=0, feature_fn=no_features, num_classes=2)
         with pytest.raises(ConfigInvalid, match=f"^{field} must be"):
             model.pretrain_source([toy_sequence(0, frames=2)], **{**kwargs, field: value})
+
+    @pytest.mark.parametrize("pose, message", [
+        (np.full((4, 4), np.nan), "pose must be a finite 4x4 matrix"),
+        (np.diag([2.0, 1.0, 1.0, 1.0]), "rotation block is not orthonormal"),
+    ], ids=["nan", "scaled"])
+    def test_invalid_pose_rejected_before_any_work(self, pose, message):
+        def no_features(frame):
+            raise AssertionError("features computed before the frames were checked")
+
+        seq = toy_sequence(0, frames=3)
+        seq[1] = Frame(1, seq[1].points, pose, seq[1].gt_labels)
+        with pytest.raises(InvalidPose, match=f"^frame 1: {message}"):
+            model.pretrain_source([seq], epochs=1, seed=0, feature_fn=no_features,
+                                  num_classes=2)
 
     @pytest.mark.parametrize("label", [2, -3])
     def test_label_outside_the_classes_names_frame_and_label(self, label):
