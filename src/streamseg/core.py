@@ -99,77 +99,69 @@ def validate_frame(frame: Frame) -> None:
 
 
 @dataclass(frozen=True)
-class ProbabilityField:
-    """Per-point class probabilities: N x C rows on the simplex."""
+class _PointField:
+    """Per-point values converted to `_dtype`, checked for rank `_ndim` and frozen."""
 
     values: np.ndarray
+    _dtype, _ndim, _noun = np.float64, 1, "values"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise LengthMismatch(f"probabilities must be N x C, got shape {v.shape}")
+        v = np.asarray(self.values, dtype=self._dtype)
+        if v.ndim != self._ndim:
+            rank = "N x C" if self._ndim == 2 else "a vector"
+            raise LengthMismatch(f"{self._noun} must be {rank}, got shape {v.shape}")
+        self._check_domain(v)
+        object.__setattr__(self, "values", _freeze(v))
+
+    @staticmethod
+    def _check_domain(v):
+        pass
+
+    def __len__(self):
+        return self.values.shape[0]
+
+
+class ProbabilityField(_PointField):
+    """Per-point class probabilities: N x C rows on the simplex."""
+
+    _ndim, _noun = 2, "probabilities"
+
+    @staticmethod
+    def _check_domain(v):
         if not np.isfinite(v).all():
             raise ValueError("probability entries must be finite")
         if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
             raise ValueError("probability entries must lie in [0, 1]")
         if np.max(np.abs(v.sum(axis=1) - 1.0)) > 1e-6:
             raise ValueError("probability rows must sum to 1 within 1e-6")
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class LabelField:
+class LabelField(_PointField):
     """Per-point discrete labels in {0,...,C-1} or IGNORE."""
 
-    values: np.ndarray
+    _dtype, _noun = np.int64, "labels"
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        if v.ndim != 1:
-            raise LengthMismatch(f"labels must be a vector, got shape {v.shape}")
+    @staticmethod
+    def _check_domain(v):
         if np.any(v < IGNORE):
             raise ValueError("labels must be class ids or the IGNORE sentinel")
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class ConfidenceField:
+class ConfidenceField(_PointField):
     """Per-point scalar confidences in [0, 1]."""
 
-    values: np.ndarray
+    _noun = "confidences"
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise LengthMismatch(f"confidences must be a vector, got shape {v.shape}")
+    @staticmethod
+    def _check_domain(v):
         if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
             raise ValueError("confidences must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class SelectionMask:
+class SelectionMask(_PointField):
     """Boolean per-point selection mask."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=bool)
-        if v.ndim != 1:
-            raise LengthMismatch(f"mask must be a vector, got shape {v.shape}")
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __len__(self):
-        return self.values.shape[0]
+    _dtype, _noun = bool, "mask"
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .model import (
 from .stream import write_label_file
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptConfig:
     """Hyper-parameters and ablation toggles of the adaptation loop."""
 
@@ -60,7 +60,7 @@ class AdaptConfig:
                   ("k_feat", self.k_feat >= 3, ">= 3"),
                   ("lam", 0 <= self.lam < 100, "in [0, 100)"),
                   ("tau", self.tau > 0, "> 0"),
-                  ("eps", self.eps > 0, "> 0"),
+                  ("eps", 0 < self.eps < np.inf, "finite and > 0"),
                   ("alpha", 0 <= self.alpha < 1, "in [0, 1)"),
                   ("beta_hat", 0 <= self.beta_hat <= 1, "in [0, 1]"),
                   ("lr", 0 <= self.lr < np.inf, "finite and >= 0"),

@@ -128,7 +128,6 @@ class NetworkParams:
         # every tensor has a first dimension; the shape check below rejects a wrong rank
         feature_dim = raw[0].shape[0]
         num_classes = raw[7].shape[0]
-        params = cls({})
         expected = _layer_specs(feature_dim, num_classes)
         tensors = {}
         for (name, fan_in, fan_out), w, b in zip(expected, raw[0::2], raw[1::2]):
@@ -141,8 +140,7 @@ class NetworkParams:
         for name, value in tensors.items():
             if not np.isfinite(value).all():
                 raise MalformedRecord(f"{path}: tensor {name} holds a non-finite value")
-        params.tensors = tensors
-        return params
+        return cls(tensors)
 
 
 #: Fixed per-feature input scaling applied ahead of the backbone. The last

@@ -27,7 +27,7 @@ _NUM_CLASSES = len(CANONICAL_CLASSES)
 VEHICLE, PEDESTRIAN, ROAD, SIDEWALK, TERRAIN, MANMADE, VEGETATION = range(_NUM_CLASSES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
     """Static world layout and ego motion."""
 
@@ -46,7 +46,7 @@ class SceneConfig:
     vegetation_spacing: float = 10.0
     point_density: float = 4.0     # road points per square meter
 
-    def validate(self):
+    def __post_init__(self):
         spacings = ("vehicle_spacing", "pedestrian_spacing", "vegetation_spacing")
         positive = ("sensor_range", "road_half_width", "sidewalk_width", "terrain_width",
                     "wall_height", "point_density") + spacings
@@ -63,7 +63,7 @@ class SceneConfig:
                                 "some classes would vanish from frames")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShiftConfig:
     """Injectable target-domain shift."""
 
@@ -73,7 +73,7 @@ class ShiftConfig:
     sensor_height_offset: float = 0.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         checks = (("seed", self.seed >= 0, ">= 0"),
                   ("jitter_sigma", 0 <= self.jitter_sigma < np.inf, "finite and >= 0"),
                   ("density_factor", 0 < self.density_factor < np.inf, "finite and > 0"),
@@ -114,9 +114,7 @@ def load_scene_config(path) -> SceneConfig:
         if key not in types:
             raise ConfigInvalid(f"{where}: unknown scene key '{key}'")
         kwargs[key] = _number(int if key in ("seed", "frames") else float, value, where)
-    cfg = SceneConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return SceneConfig(**kwargs)
 
 
 def load_shift_config(path) -> ShiftConfig:
@@ -144,9 +142,7 @@ def load_shift_config(path) -> ShiftConfig:
             kwargs[key] = _number(int, value, where)
         else:
             raise ConfigInvalid(f"{where}: unknown shift key '{key}'")
-    cfg = ShiftConfig(class_dropout=tuple(dropout), **kwargs)
-    cfg.validate()
-    return cfg
+    return ShiftConfig(class_dropout=tuple(dropout), **kwargs)
 
 
 # Fixed layout details of the corridor world. Instance shapes and surface
@@ -275,8 +271,6 @@ def _pose(scene: SceneConfig, shift: ShiftConfig, t: int) -> np.ndarray:
 
 def generate_sequence(scene: SceneConfig, shift: ShiftConfig):
     """Generate a deterministic stream of frames with ground truth and poses."""
-    scene.validate()
-    shift.validate()
     world, world_labels = _sample_world(scene, shift)
     frames = []
     for t in range(scene.frames):

@@ -3,8 +3,9 @@
 `perfbench/tracer.py` rebinds streamseg's public functions to timing
 wrappers and reads some of their return values, and the benchmark requires
 a traced run to match an untraced one bitwise. `perfbench/workloads.py`
-checks each unit's `RunReport` and reads its quality metrics from it. This
-checks both on a short stream, reading `perfbench/` without changing it.
+checks each unit's `RunReport` and reads its quality metrics from it, and
+builds its input streams from `SceneConfig`/`ShiftConfig`. This checks all
+three on short streams, reading `perfbench/` without changing it.
 """
 
 import importlib
@@ -14,7 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from streamseg import harness, model
+from streamseg import harness, model, stream
+from streamseg.core import validate_frame
 
 from test_harness import tiny_params, tiny_stream
 from test_model import toy_features, toy_sequence
@@ -98,3 +100,16 @@ def test_ladder_quality_reader_accepts_run_ablation_rows(workloads, tmp_path):
     assert quality["improvement_pts"] == (100 * full.improvement, "pts")
     for name, report in rows[:-1]:
         assert quality[f"improvement_pts.{name.lstrip('+')}"] == (100 * report.improvement, "pts")
+
+
+def test_benchmark_inputs_build_with_this_trees_configs(workloads):
+    golden = workloads.golden_stream(7, 11, 2)
+    clean, jittered = workloads.source_sequences(7, 0, 2, 0)
+    for frame in golden + clean + jittered:
+        validate_frame(frame)
+    assert [len(golden), len(clean), len(jittered)] == [2, 2, 2]
+    # the golden shift halves the density of the same scene
+    assert golden[0].num_points < clean[0].num_points
+    for a, b in zip(stream.jittered_copies([clean], workloads.SOURCE_JITTER, 0)[0], jittered):
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.gt_labels.tobytes() == b.gt_labels.tobytes()

@@ -118,6 +118,28 @@ class TestFields:
     def test_label_field_len(self):
         assert len(LabelField(np.array([1, 2, IGNORE]))) == 3
 
+    @pytest.mark.parametrize("field, wrong_rank, message", [
+        (ProbabilityField, np.full(3, 1 / 3), r"^probabilities must be N x C, got shape \(3,\)$"),
+        (LabelField, np.zeros((2, 2)), r"^labels must be a vector, got shape \(2, 2\)$"),
+        (ConfidenceField, np.zeros((2, 1)), r"^confidences must be a vector, got shape \(2, 1\)$"),
+        (SelectionMask, np.array(True), r"^mask must be a vector, got shape \(\)$"),
+    ], ids=["probability", "label", "confidence", "mask"])
+    def test_wrong_rank_message(self, field, wrong_rank, message):
+        with pytest.raises(LengthMismatch, match=message):
+            field(wrong_rank)
+
+    @pytest.mark.parametrize("field, values, dtype", [
+        (ProbabilityField, [[1, 0], [0, 1]], np.float64),
+        (LabelField, [0.0, IGNORE], np.int64),
+        (ConfidenceField, [0, 1], np.float64),
+        (SelectionMask, [1, 0], np.bool_),
+    ], ids=["probability", "label", "confidence", "mask"])
+    def test_values_converted_and_frozen(self, field, values, dtype):
+        f = field(values)
+        assert f.values.dtype == dtype and len(f) == 2
+        with pytest.raises(ValueError):
+            f.values[0] = f.values[1]
+
 
 SEMANTIC_KITTI = Path(__file__).resolve().parents[1] / "class_maps" / "semantic_kitti.txt"
 SEMANTIC_KITTI_RAW = SEMANTIC_KITTI.with_name("semantic_kitti_raw.txt")

@@ -175,6 +175,7 @@ class TestAdaptConfig:
         ("window", 0), ("k", -1), ("k_feat", 2), ("lam", 100.0), ("tau", 0.0), ("eps", 0.0),
         ("alpha", 1.0), ("alpha", -0.1), ("beta_hat", 3.0), ("beta_hat", -0.1),
         ("lr", -1.0), ("wd", -1e-5), ("lr", np.inf), ("wd", np.inf), ("lr", np.nan),
+        ("eps", np.inf), ("eps", np.nan),
     ])
     def test_invalid_value_rejected_up_front(self, field, value):
         with pytest.raises(ConfigInvalid, match=f"^{field} "):

@@ -1,13 +1,13 @@
 """Synthetic stream generation, shifts, configs, and sequence round-trips."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
 from streamseg.core import CANONICAL_CLASSES, Frame, validate_frame
 from streamseg.errors import ConfigInvalid, IoFailure, MalformedRecord, PoseCountMismatch
-from streamseg import stream
+from streamseg import harness, stream
 
 
 SMALL = dict(seed=0, frames=5)
@@ -15,15 +15,15 @@ SMALL = dict(seed=0, frames=5)
 
 class TestSceneConfig:
     def test_defaults_validate(self):
-        stream.SceneConfig().validate()
+        stream.SceneConfig()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigInvalid):
-            stream.SceneConfig(frames=0).validate()
+            stream.SceneConfig(frames=0)
         with pytest.raises(ConfigInvalid):
-            stream.SceneConfig(point_density=0.0).validate()
+            stream.SceneConfig(point_density=0.0)
         with pytest.raises(ConfigInvalid):
-            stream.SceneConfig(vehicle_spacing=1000.0).validate()
+            stream.SceneConfig(vehicle_spacing=1000.0)
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "scene.cfg"
@@ -52,17 +52,34 @@ FLOAT_FIELDS = [(config, f.name) for config in (stream.SceneConfig, stream.Shift
 @pytest.mark.parametrize("config, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
 def test_nan_field_rejected(config, name):
     with pytest.raises(ConfigInvalid, match=f"^{name} must be .*, got nan$"):
-        config(**{name: float("nan")}).validate()
+        config(**{name: float("nan")})
+
+
+CONFIGS = [(stream.SceneConfig, "frames", 0), (stream.ShiftConfig, "density_factor", 0.0),
+           (harness.AdaptConfig, "window", 0)]
+
+
+@pytest.mark.parametrize("config, name, bad", CONFIGS, ids=[c.__name__ for c, _, _ in CONFIGS])
+def test_config_checks_itself_when_built(config, name, bad):
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be "):
+        config(**{name: bad})
+
+
+@pytest.mark.parametrize("config, name, bad", CONFIGS, ids=[c.__name__ for c, _, _ in CONFIGS])
+def test_built_config_is_frozen(config, name, bad):
+    cfg = config()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, bad)
 
 
 class TestShiftConfig:
     def test_dropout_length_checked(self):
         with pytest.raises(ConfigInvalid):
-            stream.ShiftConfig(class_dropout=(0.5, 0.5)).validate()
+            stream.ShiftConfig(class_dropout=(0.5, 0.5))
         with pytest.raises(ConfigInvalid):
-            stream.ShiftConfig(class_dropout=(1.0,) + (0.0,) * 6).validate()
+            stream.ShiftConfig(class_dropout=(1.0,) + (0.0,) * 6)
         with pytest.raises(ConfigInvalid):
-            stream.ShiftConfig(class_dropout=(float("nan"),) + (0.0,) * 6).validate()
+            stream.ShiftConfig(class_dropout=(float("nan"),) + (0.0,) * 6)
 
     def test_load_named_dropout(self, tmp_path):
         p = tmp_path / "shift.cfg"
