@@ -1,4 +1,4 @@
-"""Domain types, label taxonomy, and validation shared by all modules.
+"""Domain types, label taxonomy, validation and the row scatter shared by all modules.
 
 All container types are immutable after construction (backing arrays are
 marked read-only) and therefore safe to share across threads.
@@ -50,6 +50,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
+
+
+def scatter_add_rows(idx, rows, num_rows: int) -> np.ndarray:
+    """`np.add.at(np.zeros((num_rows, D)), idx, rows)` for `idx` in [0, num_rows), byte for byte.
+
+    Like `np.add.at`, both forms add each target's rows in pair order,
+    starting from 0.0: a fancy-index add when `idx` is strictly increasing
+    (one row per target), otherwise one `np.bincount` per column.
+    """
+    out = np.zeros((num_rows, rows.shape[1]))
+    if np.all(idx[1:] > idx[:-1]):
+        out[idx] += rows
+    else:
+        for j, col in enumerate(np.ascontiguousarray(rows.T)):
+            out[:, j] = np.bincount(idx, weights=col, minlength=num_rows)
+    return out
 
 
 @dataclass(frozen=True)

@@ -191,13 +191,20 @@ class HeadsPass:
 
 
 def _dense(params: NetworkParams, name: str, x):
-    return x @ params.tensors[f"{name}_w"] + params.tensors[f"{name}_b"]
+    out = x @ params.tensors[f"{name}_w"]
+    out += params.tensors[f"{name}_b"]
+    return out
 
 
 def _relu(s):
-    """(s * mask, mask): multiplying by the mask keeps the sign of zeros."""
+    """(s with its negatives zeroed in place, mask).
+
+    Multiplying by the mask in place keeps the sign of zeros, as `s * mask`
+    does: a negative entry becomes -0.0.
+    """
     mask = s > 0
-    return s * mask, mask
+    s *= mask
+    return s, mask
 
 
 def forward_pass(params: NetworkParams, features, classify: bool = True) -> ForwardPass:
@@ -235,16 +242,20 @@ def _dense_backward(params: NetworkParams, name: str, x, g, grads: dict, input_g
 
 def heads_backward(params: NetworkParams, h: HeadsPass, g_q, grads: dict):
     """Backward from the predictor output to the embedding; returns d/dz."""
-    g = _dense_backward(params, "pred2", h.h_pred, g_q, grads) * h.m_pred
+    g = _dense_backward(params, "pred2", h.h_pred, g_q, grads)
+    g *= h.m_pred
     g = _dense_backward(params, "pred1", h.e, g, grads)
-    g = _dense_backward(params, "enc2", h.h_enc, g, grads) * h.m_enc
+    g = _dense_backward(params, "enc2", h.h_enc, g, grads)
+    g *= h.m_enc
     return _dense_backward(params, "enc1", h.z, g, grads)
 
 
 def backbone_backward(params: NetworkParams, fp: ForwardPass, g_z, grads: dict) -> None:
     """Backward from the embedding to the first layer; the input gets no gradient."""
-    g = _dense_backward(params, "embed", fp.h2, g_z, grads) * fp.m2
-    g = _dense_backward(params, "backbone2", fp.h1, g, grads) * fp.m1
+    g = _dense_backward(params, "embed", fp.h2, g_z, grads)
+    g *= fp.m2
+    g = _dense_backward(params, "backbone2", fp.h1, g, grads)
+    g *= fp.m1
     _dense_backward(params, "backbone1", fp.x, g, grads, input_grad=False)
 
 
@@ -344,10 +355,12 @@ def loss_and_grad(params: NetworkParams, fp: ForwardPass, targets: LabelField,
         heads_prev = heads(params, prev.z)
         term = temporal_term(heads_t, heads_prev, temporal)
         if term is not None:
-            reg = term[0]
-            backbone_backward(params, prev, heads_backward(params, heads_prev, term[2], grads),
-                              grads)
-            g_z_reg = heads_backward(params, heads_t, term[1], grads)
+            reg, g_q_t, g_q_prev = term
+            g_z_prev = heads_backward(params, heads_prev, g_q_prev, grads)
+            term = g_q_prev = heads_prev = None   # frame t-w's heads are done
+            backbone_backward(params, prev, g_z_prev, grads)
+            prev = g_z_prev = None   # and so is its pass, before frame t's backward runs
+            g_z_reg = heads_backward(params, heads_t, g_q_t, grads)
             reg_value = float(reg)
             loss = reg if loss is None else loss + reg
             g_z = g_z_reg if g_z is None else g_z + g_z_reg  # two terms: order-free

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IGNORE, LabelField, SelectionMask
+from .core import IGNORE, LabelField, SelectionMask, scatter_add_rows
 from .errors import LengthMismatch, NoSeenClasses
 
 _NORM_EPS = 1e-12
@@ -47,7 +47,7 @@ def build_prototypes(z, labels: LabelField, selected: SelectionMask, num_classes
     keep = selected.values & (labels.values != IGNORE)
     if keep.any():
         lab = labels.values[keep]
-        np.add.at(centroids, lab, z[keep])
+        centroids = scatter_add_rows(lab, z[keep], num_classes)
         counts = np.bincount(lab, minlength=num_classes)
         nonzero = counts > 0
         centroids[nonzero] /= counts[nonzero, None]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import scatter_add_rows
+
 _NORM_EPS = 1e-12
 
 
@@ -41,11 +43,10 @@ def _unit_rows(a, idx):
 def _predictor_grad(g_qn, qn, norm, idx, num_rows):
     """d/d(predictor output) from d/d(its gathered, normalized rows `qn`).
 
-    The rows are scattered with `np.add.at`, so a repeated index sums.
+    The rows are scattered as `np.add.at` would, so a repeated index sums.
     """
-    g_q = np.zeros((num_rows, qn.shape[1]))
-    np.add.at(g_q, idx, (g_qn - (g_qn * qn).sum(axis=1, keepdims=True) * qn) / norm)
-    return g_q
+    return scatter_add_rows(idx, (g_qn - (g_qn * qn).sum(axis=1, keepdims=True) * qn) / norm,
+                            num_rows)
 
 
 def temporal_term(heads_t, heads_prev, batch: TemporalBatch):
