@@ -55,16 +55,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def scatter_add_rows(idx, rows, num_rows: int) -> np.ndarray:
     """`np.add.at(np.zeros((num_rows, D)), idx, rows)` for `idx` in [0, num_rows), byte for byte.
 
-    Like `np.add.at`, both forms add each target's rows in pair order,
-    starting from 0.0: a fancy-index add when `idx` is strictly increasing
-    (one row per target), otherwise one `np.bincount` per column.
+    One `np.bincount` per column; like `np.add.at`, it adds each target's
+    rows in pair order, starting from 0.0.
     """
     out = np.zeros((num_rows, rows.shape[1]))
-    if np.all(idx[1:] > idx[:-1]):
-        out[idx] += rows
-    else:
-        for j, col in enumerate(np.ascontiguousarray(rows.T)):
-            out[:, j] = np.bincount(idx, weights=col, minlength=num_rows)
+    for j, col in enumerate(np.ascontiguousarray(rows.T)):
+        out[:, j] = np.bincount(idx, weights=col, minlength=num_rows)
     return out
 
 

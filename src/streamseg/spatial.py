@@ -5,11 +5,10 @@ exactly the arithmetic of the brute-force definition (Euclidean distance,
 ties broken by smaller original index) so queries are reproducible and match
 an O(N^2) scan bit-for-bit.
 
-The slack has two tiers: rows whose cutoff ties may straddle the first
-`_SLACK` extra candidates are queried again `_RETRY_SLACK` wide, in one
-batch, and only rows still unsafe then take a ball query each. The re-rank
-sorts only rows whose exact distances are not strictly increasing; cKDTree's
-own order already puts every other row in (distance, index) order.
+Each query fetches `_SLACK` extra candidates; a row whose cutoff ties may
+straddle them takes a ball query of its own. The re-rank sorts only rows
+whose exact distances are not strictly increasing; cKDTree's own order
+already puts every other row in (distance, index) order.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from scipy.spatial import cKDTree
 from .core import Frame
 from .errors import ConfigInvalid, EmptyInput, KTooLarge, LengthMismatch, NonFiniteCoordinate
 
-#: Extra candidates per query before exact re-ranking, first tier and retry.
-#: Slack 2 left no golden-stream row unsafe; on criterion 1's tie-heavy
-#: integer grid it leaves 633 of 1,250 query rows unsafe, and slack 8 leaves 87.
+#: Extra candidates per query before exact re-ranking. Slack 2 leaves no row
+#: of the golden stream or the pretrain workload's source frames unsafe; of
+#: criterion 1's 2,500 query rows, with their tie-heavy integer grids, it
+#: sends 633 to the ball query (slack 8 sends 87).
 _SLACK = 2
-_RETRY_SLACK = 8
 
 
 class SpatialIndex:
@@ -98,46 +97,36 @@ def _exact_rerank(points, queries, cand_idx):
     return cand_idx, d
 
 
-def _ranked_candidates(index: SpatialIndex, queries, k: int, slack: int):
-    """(idx, dist) of the first k exactly ranked of k + slack candidates, and the unsafe rows.
-
-    A row is safe when its exact k-th distance lies strictly inside the
-    candidate set; otherwise ties may straddle the cutoff.
-    """
-    n = len(index)
-    kq = min(n, k + slack)
-    ds, cand = index._tree.query(queries, k=kq)
-    if kq == 1:
-        ds = ds[:, None]
-        cand = cand[:, None]
-    idx, dist = _exact_rerank(index.points, queries, cand)
-    margin = 1e-9 * (1.0 + ds[:, -1])
-    unsafe = (kq < n) & (dist[:, k - 1] >= ds[:, -1] - margin)
-    return idx[:, :k], dist[:, :k], unsafe
-
-
 def knn_batch(index: SpatialIndex, queries, k: int):
     """K nearest neighbors for each query row.
 
     Returns (idx, dist), each of shape (Q, k); distances are non-decreasing
     per row and ties are broken by the smaller original point index.
     """
+    pts = index.points
     n = len(index)
     if k < 1 or k > n:
         raise KTooLarge(f"k={k} exceeds the number of indexed points ({n})")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
 
-    idx, dist, unsafe = _ranked_candidates(index, queries, k, _SLACK)
-    retry = np.nonzero(unsafe)[0]
-    if len(retry):
-        idx[retry], dist[retry], unsafe = _ranked_candidates(index, queries[retry], k,
-                                                              _RETRY_SLACK)
-        for q in retry[unsafe]:
+    kq = min(n, k + _SLACK)
+    ds, cand = index._tree.query(queries, k=kq)
+    if kq == 1:
+        ds = ds[:, None]
+        cand = cand[:, None]
+    idx, dist = _exact_rerank(pts, queries, cand)
+
+    if kq < n:
+        # boundary check: the exact k-th distance must be strictly inside the
+        # candidate set, otherwise ties may straddle the cutoff
+        margin = 1e-9 * (1.0 + ds[:, -1])
+        unsafe = dist[:, k - 1] >= ds[:, -1] - margin
+        for q in np.nonzero(unsafe)[0]:
             r = dist[q, k - 1] * (1.0 + 1e-9) + 1e-12
             ball = np.asarray(index._tree.query_ball_point(queries[q], r), dtype=np.int64)
-            bi, bd = _exact_rerank(index.points, queries[q:q + 1], ball[None, :])
-            idx[q], dist[q] = bi[0, :k], bd[0, :k]
-    return idx, dist
+            bi, bd = _exact_rerank(pts, queries[q:q + 1], ball[None, :])
+            idx[q, :k], dist[q, :k] = bi[0, :k], bd[0, :k]
+    return idx[:, :k], dist[:, :k]
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from streamseg import harness, model, stream  # noqa: E402
-from streamseg.core import Frame  # noqa: E402
 
-SCENE_SEED = 7
-GOLDEN_SHIFT = dict(jitter_sigma=0.05, density_factor=0.5,
-                    class_dropout=(0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0), seed=11)
+from test_acceptance import SCENE_SEED, SHIFT  # noqa: E402
+
 GOLDEN_FRAMES = 40
 LADDER_FRAMES = 15
 PRETRAIN = dict(frames=6, epochs=3, head_epochs=1, window=5, seed=0, num_classes=7)
@@ -61,7 +59,7 @@ def _feature_fn(frame):
 
 def golden(params):
     frames = stream.generate_sequence(stream.SceneConfig(seed=SCENE_SEED, frames=GOLDEN_FRAMES),
-                                      stream.ShiftConfig(**GOLDEN_SHIFT))
+                                      stream.ShiftConfig(**SHIFT))
     with tempfile.TemporaryDirectory() as dump:
         report, state = harness.run_tta(frames, params, harness.AdaptConfig(), dump_dir=dump)
         preds = [Path(dump, f"{f.frame_id:06d}.label").read_bytes() for f in frames]
@@ -77,9 +75,7 @@ def pretrain():
     p = PRETRAIN
     clean = stream.generate_sequence(stream.SceneConfig(seed=SCENE_SEED, frames=p["frames"]),
                                      stream.ShiftConfig())
-    rng = np.random.default_rng([0, 0xAA6])
-    jittered = [Frame(f.frame_id, f.points + rng.normal(0.0, 0.05, f.points.shape),
-                      f.pose, f.gt_labels) for f in clean]
+    jittered = stream.jittered_copies([clean], 0.05, 0)[0]
     params, history = model.pretrain_source(
         [clean, jittered], epochs=p["epochs"], seed=p["seed"], feature_fn=_feature_fn,
         num_classes=p["num_classes"], head_epochs=p["head_epochs"], window=p["window"])

@@ -13,6 +13,8 @@ from scipy.spatial.distance import cdist
 from streamseg import model, spatial, stream
 from streamseg.core import scatter_add_rows
 
+from test_acceptance import SCENE_SEED, SHIFT
+
 
 def reference_covariance(neigh):
     centered = neigh - neigh.mean(axis=1, keepdims=True)
@@ -33,9 +35,8 @@ def reference_scatter(idx, rows, num_rows):
 
 
 def golden_frame():
-    shift = stream.ShiftConfig(jitter_sigma=0.05, density_factor=0.5,
-                               class_dropout=(0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0), seed=11)
-    return stream.generate_sequence(stream.SceneConfig(seed=7, frames=1), shift)[0]
+    return stream.generate_sequence(stream.SceneConfig(seed=SCENE_SEED, frames=1),
+                                    stream.ShiftConfig(**SHIFT))[0]
 
 
 def integer_grid(n=400, seed=21):
@@ -160,8 +161,8 @@ class TestSlack:
             _assert_bytes_equal(dist, ref_dist)
 
 
-def test_slack_zero_runs_every_tier(monkeypatch):
-    """At slack 0 every first-tier row is unsafe; the re-query and the ball queries finish them."""
+def test_slack_zero_sends_every_row_to_the_ball_query(monkeypatch):
+    """At slack 0 no row is safe; a ball query of its own finishes each one."""
     monkeypatch.setattr(spatial, "_SLACK", 0)
     calls = []
     direct = spatial._exact_rerank
@@ -173,6 +174,5 @@ def test_slack_zero_runs_every_tier(monkeypatch):
     monkeypatch.setattr(spatial, "_exact_rerank", counted)
     points, queries = TestSlack._clouds()[0]
     idx, _ = spatial.knn_batch(spatial.build_index(points), queries, 10)
-    assert calls[:2] == [40, 40]      # the first tier, then one batched re-query of every row
-    assert calls[2:] and set(calls[2:]) == {1}   # the ball queries, one row each
+    assert calls == [40] + [1] * 40     # the batched query, then one ball query per row
     _assert_bytes_equal(idx, brute_force(points, queries, 10)[0])
