@@ -10,7 +10,6 @@ from .core import (
     ProbabilityField,
     SelectionMask,
     remap_labels,
-    validate_frame,
 )
 from .harness import AdaptConfig, AdaptationState, RunReport, run_tta
 from .model import NetworkParams, OptimizerState
@@ -21,8 +20,8 @@ from .stream import SceneConfig, ShiftConfig, generate_sequence, read_sequence, 
 __all__ = [
     "CANONICAL_CLASSES", "IGNORE", "ClassMap", "ConfidenceField", "Frame",
     "LabelField", "ProbabilityField", "SelectionMask", "remap_labels",
-    "validate_frame", "AdaptConfig", "AdaptationState", "RunReport",
-    "run_tta", "NetworkParams", "OptimizerState",
+    "AdaptConfig", "AdaptationState", "RunReport", "run_tta",
+    "NetworkParams", "OptimizerState",
     "PrototypeBank", "SpatialIndex", "build_index",
     "match_correspondences", "SceneConfig", "ShiftConfig", "generate_sequence",
     "read_sequence", "write_sequence",

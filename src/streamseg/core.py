@@ -24,6 +24,9 @@ from .errors import (
 #: Sentinel for "no label"; never a valid class id and excluded from C.
 IGNORE = -1
 
+_LAST_POSE_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
+
 #: Canonical 7-class taxonomy used by the default benchmark streams.
 CANONICAL_CLASSES = (
     "vehicle",
@@ -70,7 +73,7 @@ class Frame:
 
     points are N x 3 sensor-frame coordinates in meters, pose is the 4 x 4
     rigid sensor-to-world transform, gt_labels (optional) holds class ids
-    or IGNORE.
+    or IGNORE. Building a frame checks all of this; an error names the frame.
     """
 
     frame_id: int
@@ -83,31 +86,29 @@ class Frame:
         object.__setattr__(self, "pose", _freeze(np.asarray(self.pose, dtype=np.float64)))
         if self.gt_labels is not None:
             object.__setattr__(self, "gt_labels", _freeze(np.asarray(self.gt_labels, dtype=np.int64)))
+        where, pts, pose = f"frame {self.frame_id}", self.points, self.pose
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+            raise EmptyFrame(f"{where}: expected non-empty N x 3 points, got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise NonFiniteCoordinate(f"{where}: non-finite coordinate")
+        if pose.shape != (4, 4) or not np.isfinite(pose).all():
+            raise InvalidPose(f"{where}: pose must be a finite 4x4 matrix")
+        # np.allclose(pose[3], _LAST_POSE_ROW, atol=1e-9) with its default rtol, without its overhead
+        if not (np.abs(pose[3] - _LAST_POSE_ROW) <= 1e-9 + 1e-5 * _LAST_POSE_ROW).all():
+            raise InvalidPose(f"{where}: last pose row must be [0,0,0,1]")
+        rot = pose[:3, :3]
+        if np.abs(rot.T @ rot - _EYE3).max() >= 1e-6:
+            raise InvalidPose(f"{where}: rotation block is not orthonormal")
+        # det(rot) by cofactors, a fraction of np.linalg.det's cost; it is +-1 here
+        (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
+            raise InvalidPose(f"{where}: rotation block is not proper (det <= 0)")
+        if self.gt_labels is not None and self.gt_labels.shape != (pts.shape[0],):
+            raise LengthMismatch(f"{where}: gt label count != point count")
 
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
-
-
-def validate_frame(frame: Frame) -> None:
-    """Raise unless all Frame invariants hold."""
-    pts = frame.points
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise EmptyFrame(f"frame {frame.frame_id}: expected non-empty N x 3 points, got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteCoordinate(f"frame {frame.frame_id}: non-finite coordinate")
-    pose = frame.pose
-    if pose.shape != (4, 4) or not np.all(np.isfinite(pose)):
-        raise InvalidPose(f"frame {frame.frame_id}: pose must be a finite 4x4 matrix")
-    if not np.allclose(pose[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
-        raise InvalidPose(f"frame {frame.frame_id}: last pose row must be [0,0,0,1]")
-    rot = pose[:3, :3]
-    if np.max(np.abs(rot.T @ rot - np.eye(3))) >= 1e-6:
-        raise InvalidPose(f"frame {frame.frame_id}: rotation block is not orthonormal")
-    if np.linalg.det(rot) <= 0:
-        raise InvalidPose(f"frame {frame.frame_id}: rotation block is not proper (det <= 0)")
-    if frame.gt_labels is not None and frame.gt_labels.shape != (pts.shape[0],):
-        raise LengthMismatch(f"frame {frame.frame_id}: gt label count != point count")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import local_labels, prototypes, spatial
 from .core import (IGNORE, ClassMap, ConfidenceField, Frame, LabelField, SelectionMask,
-                   remap_labels, validate_frame)
+                   remap_labels)
 from .errors import CheckpointMismatch, ConfigInvalid, LabelOutOfRange, LengthMismatch
 from .model import (
     NetworkParams,
@@ -152,7 +152,6 @@ def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig
     no temporal term. The frame's spatial index, with its cached
     neighbourhood, dies when this returns, before any target-model work.
     """
-    validate_frame(frame)
     index, feats = frame_features(frame, config.k_feat)
 
     # k = 0 switches the local module off: plain argmax with entropy-only ranking

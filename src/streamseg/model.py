@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spatial
-from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField, validate_frame
+from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField
 from .errors import ConfigInvalid, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 from .temporal import TemporalBatch, temporal_term
 
@@ -417,7 +417,6 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     if not frames:
         raise NoGroundTruth("no frames to pretrain on")
     for f in frames:
-        validate_frame(f)
         if f.gt_labels is None:
             raise NoGroundTruth(f"frame {f.frame_id} carries no ground truth")
         known = f.gt_labels[f.gt_labels != IGNORE]

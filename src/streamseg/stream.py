@@ -10,7 +10,8 @@ and a sensor height offset.
 
 On-disk layout mirrors KITTI odometry conventions: NNNNNN.bin (float32
 x, y, z, intensity), NNNNNN.label (uint32, lower 16 bits = raw class id),
-poses.txt (row-major upper 3x4 of the sensor-to-world pose per line).
+poses.txt (row-major upper 3x4 of the sensor-to-world pose per line, in
+frame order). NNNNNN is the frame id.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class ShiftConfig:
 
 
 def _parse_kv_file(path):
-    """{key: (value, "path:line")} of a key=value file."""
+    """{key: (value, "path:line")} of a key=value file; a repeated key is ConfigInvalid."""
     pairs = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -93,8 +94,10 @@ def _parse_kv_file(path):
             continue
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = (value.strip(), f"{path}:{lineno}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ConfigInvalid(f"{path}:{lineno}: key '{key}' repeats {pairs[key][1]}")
+        pairs[key] = (value, f"{path}:{lineno}")
     return pairs
 
 
@@ -120,12 +123,20 @@ def load_scene_config(path) -> SceneConfig:
 def load_shift_config(path) -> ShiftConfig:
     """Read a ShiftConfig from a plain-text key=value file.
 
-    Dropout accepts either dropout=p0,...,p6 or dropout_<class_name>=p.
+    Dropout accepts either dropout=p0,...,p6 or dropout_<class_name>=p, not
+    both in one file.
     """
     pairs = _parse_kv_file(path)
     dropout = [0.0] * _NUM_CLASSES
     kwargs = {}
+    first_dropout = None
     for key, (value, where) in pairs.items():
+        if key == "dropout" or key.startswith("dropout_"):
+            first_dropout = first_dropout or (key, where)
+            if (key == "dropout") != (first_dropout[0] == "dropout"):
+                raise ConfigInvalid(f"{where}: '{key}' conflicts with '{first_dropout[0]}' "
+                                    f"at {first_dropout[1]}; use dropout= or "
+                                    "dropout_<class>= keys, not both")
         if key == "dropout":
             probs = [_number(float, v, where) for v in value.split(",")]
             if len(probs) != _NUM_CLASSES:
@@ -328,17 +339,22 @@ def read_label_file(path) -> np.ndarray:
 
 
 def write_sequence(frames, directory) -> None:
-    """Write frames in KITTI layout: NNNNNN.bin/.label plus poses.txt."""
+    """Write frames in KITTI layout: NNNNNN.bin/.label named by frame id, plus poses.txt."""
+    frames = list(frames)
+    ids = [frame.frame_id for frame in frames]
+    if min(ids, default=0) < 0 or len(set(ids)) != len(ids):
+        raise ValueError("frame ids name the files, so they must be distinct and >= 0")
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
         pose_lines = []
-        for i, frame in enumerate(frames):
+        for frame in frames:
+            stem = directory / f"{frame.frame_id:06d}"
             record = np.zeros((frame.num_points, 4), dtype="<f4")
             record[:, :3] = frame.points.astype("<f4")
-            record.tofile(directory / f"{i:06d}.bin")
+            record.tofile(stem.with_suffix(".bin"))
             if frame.gt_labels is not None:
-                write_label_file(directory / f"{i:06d}.label", frame.gt_labels)
+                write_label_file(stem.with_suffix(".label"), frame.gt_labels)
             pose_lines.append(" ".join(f"{v:.17g}" for v in frame.pose[:3].ravel()))
         (directory / "poses.txt").write_text("\n".join(pose_lines) + "\n")
     except OSError as e:
@@ -348,21 +364,30 @@ def write_sequence(frames, directory) -> None:
 def read_sequence(directory):
     """Read a KITTI-layout sequence back into frames.
 
+    Each scan's frame id is the number its file is named by, and the frames
+    come in that order, line i of poses.txt holding the pose of the i-th.
     The intensity channel is parsed but discarded; labels are attached when
     a matching .label file exists.
     """
     directory = Path(directory)
-    bins = sorted(directory.glob("*.bin"))
-    if not bins:
+    scans = {}
+    for bin_path in sorted(directory.glob("*.bin")):
+        if not (bin_path.stem.isascii() and bin_path.stem.isdigit()):
+            raise MalformedRecord(f"{bin_path}: file name is not a frame number")
+        first = scans.setdefault(int(bin_path.stem), bin_path)
+        if first != bin_path:
+            raise MalformedRecord(f"{bin_path}: frame number {int(bin_path.stem)} "
+                                  f"repeats {first.name}")
+    if not scans:
         raise IoFailure(f"{directory}: no .bin files")
     pose_path = directory / "poses.txt"
     pose_rows = [line for line in read_text(pose_path).splitlines() if line.strip()]
-    if len(pose_rows) != len(bins):
+    if len(pose_rows) != len(scans):
         raise PoseCountMismatch(
-            f"{directory}: {len(pose_rows)} poses for {len(bins)} frames")
+            f"{directory}: {len(pose_rows)} poses for {len(scans)} frames")
 
     frames = []
-    for i, bin_path in enumerate(bins):
+    for i, (frame_id, bin_path) in enumerate(sorted(scans.items())):
         try:
             blob = bin_path.read_bytes()
         except OSError as e:
@@ -386,5 +411,5 @@ def read_sequence(directory):
             labels = read_label_file(label_path)
             if len(labels) != len(points):
                 raise MalformedRecord(f"{label_path}: label count != point count")
-        frames.append(Frame(frame_id=i, points=points, pose=pose, gt_labels=labels))
+        frames.append(Frame(frame_id=frame_id, points=points, pose=pose, gt_labels=labels))
     return frames

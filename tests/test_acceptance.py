@@ -19,6 +19,8 @@ from streamseg.core import ConfidenceField, Frame, IGNORE, LabelField, Probabili
 
 from test_harness import step_frame
 
+pytestmark = pytest.mark.acceptance
+
 SCENE_SEED = 7
 SOURCE_FRAMES = 25
 BENCH_FRAMES = 200

@@ -136,6 +136,22 @@ class TestPipeline:
         assert ([line.split()[-1] for line in adapt_lines]
                 == [line.split()[-1] for line in eval_lines])
 
+    def test_adapt_then_eval_pairs_a_sequence_numbered_from_100(self, pipeline, tmp_path,
+                                                                capsys):
+        seq = tmp_path / "seq"
+        shutil.copytree(pipeline / "seq", seq)
+        for i in reversed(range(6)):
+            for suffix in (".bin", ".label"):
+                (seq / f"{i:06d}{suffix}").rename(seq / f"{100 + i:06d}{suffix}")
+        assert cli.main(["adapt", str(seq), "--checkpoint", str(pipeline / "ckpt.bin"),
+                         "--dump-pred", str(tmp_path / "pred")]) == 0
+        dumped = sorted(p.name for p in (tmp_path / "pred" / "seq").glob("*.label"))
+        assert dumped == [f"{100 + i:06d}.label" for i in range(6)]
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "pred" / "seq"), str(seq)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "mIoU" in captured.out
+
     def test_ablate_prints_ladder(self, pipeline, capsys):
         rc = cli.main(["ablate", str(pipeline / "seq"),
                        "--checkpoint", str(pipeline / "ckpt.bin")])

@@ -1,5 +1,6 @@
 """Frames, label fields, class maps and their validation."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from streamseg.core import (
     ProbabilityField,
     SelectionMask,
     remap_labels,
-    validate_frame,
 )
 from streamseg.errors import (
     ConfigInvalid,
@@ -42,33 +42,78 @@ class TestFrame:
         assert make_frame(17).num_points == 17
 
     def test_empty_frame_rejected(self):
-        f = Frame(0, np.empty((0, 3)), np.eye(4), None)
-        with pytest.raises(EmptyFrame):
-            validate_frame(f)
+        with pytest.raises(EmptyFrame, match=r"^frame 0: expected non-empty N x 3 points, "
+                                             r"got \(0, 3\)$"):
+            Frame(0, np.empty((0, 3)), np.eye(4), None)
+
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((2, 2)), np.zeros((2, 3, 1))],
+                             ids=["vector", "two-columns", "rank-3"])
+    def test_wrong_rank_rejected(self, points):
+        with pytest.raises(EmptyFrame, match=rf"^frame 4: expected non-empty N x 3 points, "
+                                             rf"got {re.escape(str(points.shape))}$"):
+            Frame(4, points, np.eye(4), None)
 
     def test_nan_coordinate_rejected(self):
         pts = np.zeros((3, 3))
         pts[1, 2] = np.nan
-        with pytest.raises(NonFiniteCoordinate):
-            validate_frame(Frame(0, pts, np.eye(4), None))
+        with pytest.raises(NonFiniteCoordinate, match="^frame 0: non-finite coordinate$"):
+            Frame(0, pts, np.eye(4), None)
+
+    @pytest.mark.parametrize("pose", [np.full((4, 4), np.nan), np.eye(3), np.eye(4)[:3],
+                                      np.where(np.eye(4) == 1, np.inf, 0.0)],
+                             ids=["nan", "3x3", "3x4", "inf"])
+    def test_non_finite_or_misshapen_pose_rejected(self, pose):
+        with pytest.raises(InvalidPose, match="^frame 2: pose must be a finite 4x4 matrix$"):
+            Frame(2, np.zeros((2, 3)), pose, None)
 
     def test_pose_last_row(self):
         pose = np.eye(4)
         pose[3, 0] = 0.5
-        with pytest.raises(InvalidPose):
-            validate_frame(Frame(0, np.zeros((2, 3)), pose, None))
+        with pytest.raises(InvalidPose, match=r"^frame 0: last pose row must be \[0,0,0,1\]$"):
+            Frame(0, np.zeros((2, 3)), pose, None)
+
+    # the last-row check keeps np.allclose(row, [0, 0, 0, 1], atol=1e-9)'s tolerances:
+    # |row - [0, 0, 0, 1]| <= 1e-9 + 1e-5 * [0, 0, 0, 1]
+    @pytest.mark.parametrize("col, value, ok", [
+        (3, 1 + 5e-6, True),
+        (3, 1 + 2e-5, False),
+        (0, 5e-10, True),
+        (0, 2e-9, False),
+    ], ids=["last-within-rtol", "last-past-rtol", "first-within-atol", "first-past-atol"])
+    def test_pose_last_row_tolerance(self, col, value, ok):
+        pose = np.eye(4)
+        pose[3, col] = value
+        assert np.allclose(pose[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9) == ok
+        if ok:
+            Frame(0, np.zeros((2, 3)), pose, None)
+        else:
+            with pytest.raises(InvalidPose, match="last pose row"):
+                Frame(0, np.zeros((2, 3)), pose, None)
 
     def test_pose_must_be_rotation(self):
         pose = np.eye(4)
         pose[:3, :3] *= 2.0  # not orthonormal
-        with pytest.raises(InvalidPose):
-            validate_frame(Frame(0, np.zeros((2, 3)), pose, None))
+        with pytest.raises(InvalidPose, match="^frame 0: rotation block is not orthonormal$"):
+            Frame(0, np.zeros((2, 3)), pose, None)
 
     def test_reflection_rejected(self):
         pose = np.eye(4)
         pose[0, 0] = -1.0  # det < 0
-        with pytest.raises(InvalidPose):
-            validate_frame(Frame(0, np.zeros((2, 3)), pose, None))
+        with pytest.raises(InvalidPose,
+                           match=r"^frame 0: rotation block is not proper \(det <= 0\)$"):
+            Frame(0, np.zeros((2, 3)), pose, None)
+
+    def test_proper_rotation_check_agrees_with_linalg_det(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))  # orthonormal, det +1 or -1
+            pose = np.eye(4)
+            pose[:3, :3] = q
+            if np.linalg.det(q) > 0:
+                Frame(0, np.zeros((2, 3)), pose, None)
+            else:
+                with pytest.raises(InvalidPose, match="not proper"):
+                    Frame(0, np.zeros((2, 3)), pose, None)
 
     def test_valid_frame_passes(self):
         theta = 0.3
@@ -76,12 +121,15 @@ class TestFrame:
         pose[:2, :2] = [[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]]
         pose[:3, 3] = [1.0, 2.0, 3.0]
-        validate_frame(Frame(0, np.ones((4, 3)), pose, None))
+        Frame(0, np.ones((4, 3)), pose, None)
 
     def test_gt_length_mismatch(self):
-        f = Frame(0, np.zeros((3, 3)), np.eye(4), np.zeros(2, dtype=np.int64))
-        with pytest.raises(LengthMismatch):
-            validate_frame(f)
+        with pytest.raises(LengthMismatch, match="^frame 0: gt label count != point count$"):
+            Frame(0, np.zeros((3, 3)), np.eye(4), np.zeros(2, dtype=np.int64))
+
+    def test_gt_labels_must_be_a_vector(self):
+        with pytest.raises(LengthMismatch, match="^frame 0: gt label count != point count$"):
+            Frame(0, np.zeros((3, 3)), np.eye(4), np.zeros((3, 1), dtype=np.int64))
 
 
 class TestFields:

@@ -391,8 +391,9 @@ class TestPretrain:
             raise AssertionError("features computed before the frames were checked")
 
         seq = toy_sequence(0, frames=3)
-        seq[1] = Frame(1, seq[1].points, pose, seq[1].gt_labels)
+        # the frame checks itself when built, so pretraining never sees it
         with pytest.raises(InvalidPose, match=f"^frame 1: {message}"):
+            seq[1] = Frame(1, seq[1].points, pose, seq[1].gt_labels)
             model.pretrain_source([seq], epochs=1, seed=0, feature_fn=no_features,
                                   num_classes=2)
 

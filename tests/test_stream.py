@@ -1,12 +1,14 @@
 """Synthetic stream generation, shifts, configs, and sequence round-trips."""
 
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
-from streamseg.core import CANONICAL_CLASSES, Frame, validate_frame
-from streamseg.errors import ConfigInvalid, IoFailure, MalformedRecord, PoseCountMismatch
+from streamseg.core import CANONICAL_CLASSES, Frame
+from streamseg.errors import (ConfigInvalid, InvalidPose, IoFailure, MalformedRecord,
+                              PoseCountMismatch)
 from streamseg import harness, stream
 
 
@@ -42,6 +44,13 @@ class TestSceneConfig:
         p = tmp_path / "scene.cfg"
         p.write_text("frames 7\n")
         with pytest.raises(ConfigInvalid):
+            stream.load_scene_config(p)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "scene.cfg"
+        p.write_text("seed=1\nframes=7\nseed=2\n")
+        with pytest.raises(ConfigInvalid, match=rf"^{re.escape(str(p))}:3: key 'seed' repeats "
+                                                rf"{re.escape(str(p))}:1$"):
             stream.load_scene_config(p)
 
 
@@ -101,6 +110,20 @@ class TestShiftConfig:
         with pytest.raises(ConfigInvalid):
             stream.load_shift_config(p)
 
+    @pytest.mark.parametrize("lines, second", [
+        (["dropout_pedestrian=0.3", "dropout=0,0,0,0,0,0,0"], "'dropout' conflicts with "
+                                                             "'dropout_pedestrian'"),
+        (["dropout=0,0.1,0,0,0,0,0", "dropout_vehicle=0.2"], "'dropout_vehicle' conflicts with "
+                                                             "'dropout'"),
+    ], ids=["list-after-named", "named-after-list"])
+    def test_dropout_list_and_named_dropout_rejected_together(self, tmp_path, lines, second):
+        # the later form would silently overwrite what the earlier one set
+        p = tmp_path / "shift.cfg"
+        p.write_text("seed=3\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ConfigInvalid,
+                           match=rf"^{re.escape(str(p))}:3: {second} at {re.escape(str(p))}:2;"):
+            stream.load_shift_config(p)
+
 
 class TestGeneration:
     def test_deterministic(self):
@@ -113,9 +136,9 @@ class TestGeneration:
             np.testing.assert_array_equal(fa.pose, fb.pose)
 
     def test_frames_are_valid(self):
-        for f in stream.generate_sequence(stream.SceneConfig(**SMALL),
-                                          stream.ShiftConfig()):
-            validate_frame(f)
+        # a Frame checks its invariants when it is built, so generating is the check
+        frames = stream.generate_sequence(stream.SceneConfig(**SMALL), stream.ShiftConfig())
+        assert [f.frame_id for f in frames] == list(range(SMALL["frames"]))
 
     def test_every_class_present_per_frame(self):
         frames = stream.generate_sequence(stream.SceneConfig(**SMALL),
@@ -231,6 +254,66 @@ class TestSequenceIo:
         lbl = tmp_path / "seq" / "000000.label"
         lbl.write_bytes(lbl.read_bytes()[:-4])
         with pytest.raises(MalformedRecord):
+            stream.read_sequence(tmp_path / "seq")
+
+    def test_frame_ids_are_the_file_numbers(self, tmp_path):
+        rng = np.random.default_rng(0)
+        frames = [Frame(100 + i, rng.normal(size=(20, 3)), np.eye(4)) for i in range(3)]
+        stream.write_sequence(frames, tmp_path / "seq")
+        assert sorted(p.name for p in (tmp_path / "seq").glob("*.bin")) == [
+            "000100.bin", "000101.bin", "000102.bin"]
+        back = stream.read_sequence(tmp_path / "seq")
+        assert [f.frame_id for f in back] == [100, 101, 102]
+        for orig, rt in zip(frames, back):
+            np.testing.assert_allclose(rt.points, orig.points, atol=1e-5)
+
+    @pytest.mark.parametrize("ids", [(0, 0), (-1,)], ids=["repeated", "negative"])
+    def test_ids_that_cannot_name_a_file_rejected_before_writing(self, tmp_path, ids):
+        frames = [Frame(i, np.ones((4, 3)), np.eye(4)) for i in ids]
+        with pytest.raises(ValueError, match="frame ids name the files"):
+            stream.write_sequence(frames, tmp_path / "seq")
+        assert not (tmp_path / "seq").exists()
+
+    def test_frames_come_in_number_order(self, tmp_path):
+        # "10" sorts before "9" as a string; poses.txt lists frame 9 first
+        rng = np.random.default_rng(0)
+        seq = tmp_path / "seq"
+        pose = np.eye(4)
+        pose[:3, 3] = [5.0, 0.0, 0.0]
+        stream.write_sequence([Frame(0, rng.normal(size=(20, 3)), np.eye(4)),
+                               Frame(1, rng.normal(size=(30, 3)), pose)], seq)
+        (seq / "000000.bin").rename(seq / "9.bin")
+        (seq / "000001.bin").rename(seq / "10.bin")
+        back = stream.read_sequence(seq)
+        assert [(f.frame_id, f.num_points, f.pose[0, 3]) for f in back] == [
+            (9, 20, 0.0), (10, 30, 5.0)]
+
+    @pytest.mark.parametrize("name", ["scan.bin", "-00001.bin", "1e3.bin", "٣.bin"])
+    def test_scan_not_named_by_a_number_rejected(self, tmp_path, name):
+        frames = [Frame(0, np.ones((4, 3)), np.eye(4))]
+        stream.write_sequence(frames, tmp_path / "seq")
+        (tmp_path / "seq" / "000000.bin").rename(tmp_path / "seq" / name)
+        with pytest.raises(MalformedRecord, match=rf"{re.escape(name)}: file name is not a "
+                                                  "frame number$"):
+            stream.read_sequence(tmp_path / "seq")
+
+    def test_repeated_frame_number_rejected(self, tmp_path):
+        frames = [Frame(i, np.ones((4, 3)), np.eye(4)) for i in range(2)]
+        stream.write_sequence(frames, tmp_path / "seq")
+        (tmp_path / "seq" / "000001.bin").rename(tmp_path / "seq" / "0.bin")
+        with pytest.raises(MalformedRecord,
+                           match=r"/000000\.bin: frame number 0 repeats 0\.bin$"):
+            stream.read_sequence(tmp_path / "seq")
+
+    def test_nan_pose_is_rejected_when_read(self, tmp_path):
+        frames = stream.generate_sequence(stream.SceneConfig(seed=0, frames=3),
+                                          stream.ShiftConfig())
+        stream.write_sequence(frames, tmp_path / "seq")
+        poses = tmp_path / "seq" / "poses.txt"
+        lines = poses.read_text().splitlines()
+        lines[1] = " ".join(["nan"] * 12)
+        poses.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidPose, match="^frame 1: pose must be a finite 4x4 matrix$"):
             stream.read_sequence(tmp_path / "seq")
 
     def test_missing_directory(self, tmp_path):
