@@ -9,7 +9,8 @@ from pathlib import Path
 
 from . import harness, model, stream
 from .core import ClassMap, LabelField, remap_labels
-from .errors import ConfigInvalid, EmptyInput, LabelOutOfRange, LengthMismatch, StreamSegError
+from .errors import (ConfigInvalid, EmptyInput, LabelOutOfRange, LengthMismatch, MalformedRecord,
+                     StreamSegError)
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
@@ -118,14 +119,32 @@ def cmd_adapt(args) -> int:
     return 0
 
 
+def _label_files(directory) -> dict:
+    """The directory's .label files by frame key, in frame order.
+
+    A numeric stem keys by its value, as `read_sequence` numbers scans, so
+    `100.label` pairs with `000100.label`; any other stem keys by itself.
+    """
+    files = {}
+    for path in sorted(Path(directory).glob("*.label")):
+        numeric = path.stem.isascii() and path.stem.isdigit()
+        key = (0, int(path.stem)) if numeric else (1, path.stem)
+        first = files.setdefault(key, path)
+        if first != path:
+            raise MalformedRecord(f"{path}: frame number {key[1]} repeats {first.name}")
+    return dict(sorted(files.items()))
+
+
 def cmd_eval(args) -> int:
     class_map = _load_class_map(args.class_map)
-    pred_files = {p.stem: p for p in Path(args.pred).glob("*.label")}
-    gt_files = {p.stem: p for p in Path(args.gt).glob("*.label")}
+    pred_files = _label_files(args.pred)
+    gt_files = _label_files(args.gt)
     unpaired = sorted(pred_files.keys() ^ gt_files.keys())
-    for stem in unpaired:
-        missing = "ground truth" if stem in pred_files else "prediction"
-        print(f"frame {stem} has no {missing} file", file=sys.stderr)
+    for key in unpaired:
+        if key in pred_files:
+            print(f"frame {pred_files[key].stem} has no ground truth file", file=sys.stderr)
+        else:
+            print(f"frame {gt_files[key].stem} has no prediction file", file=sys.stderr)
     if unpaired:
         return 1
     if not pred_files:
@@ -133,9 +152,10 @@ def cmd_eval(args) -> int:
     if class_map is None:
         class_map = ClassMap.canonical()
     report = harness.RunReport(class_map.canonical_names)
-    for stem in sorted(pred_files):
-        pred = LabelField(stream.read_label_file(pred_files[stem]))
-        gt = remap_labels(stream.read_label_file(gt_files[stem]), class_map)
+    for key, pred_path in pred_files.items():
+        stem = pred_path.stem
+        pred = LabelField(stream.read_label_file(pred_path))
+        gt = remap_labels(stream.read_label_file(gt_files[key]), class_map)
         try:
             report.record(stem, pred, gt, 0.0)
         except (LengthMismatch, LabelOutOfRange) as e:

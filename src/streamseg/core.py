@@ -59,9 +59,10 @@ def scatter_add_rows(idx, rows, num_rows: int) -> np.ndarray:
     """`np.add.at(np.zeros((num_rows, D)), idx, rows)` for `idx` in [0, num_rows), byte for byte.
 
     One `np.bincount` per column; like `np.add.at`, it adds each target's
-    rows in pair order, starting from 0.0.
+    rows in pair order, starting from 0.0. The sums are taken in float64 and
+    returned in the rows' dtype, so float64 rows match `np.add.at` exactly.
     """
-    out = np.zeros((num_rows, rows.shape[1]))
+    out = np.zeros((num_rows, rows.shape[1]), dtype=rows.dtype)
     for j, col in enumerate(np.ascontiguousarray(rows.T)):
         out[:, j] = np.bincount(idx, weights=col, minlength=num_rows)
     return out

@@ -7,6 +7,10 @@ and the correspondences to that frame. The target stage first evaluates the
 model adapted up to the previous frame, then takes one self-supervised
 update: prototype fine-tuning on the live target model, temporal
 consistency, and a single optimizer step on the combined objective.
+
+`run_tta` and `run_ablation` adapt in float32: they cast the source model
+to float32 once per run, and its source stage and every target model use
+that copy. Labels, probabilities and prototypes stay float64.
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ class SourceFrame:
     """
 
     frame: Frame
-    features: np.ndarray        # normalized network inputs
+    features: np.ndarray        # normalized network inputs, in the source model's dtype
     source_pred: LabelField     # the source model's argmax
     labels: LabelField          # local pseudo-labels over all points
     scores: ConfidenceField
@@ -153,6 +157,8 @@ def source_stage(source_params: NetworkParams, frame: Frame, config: AdaptConfig
     neighbourhood, dies when this returns, before any target-model work.
     """
     index, feats = frame_features(frame, config.k_feat)
+    # in the model's dtype once: every forward pass over the frame then reads it as it is
+    feats = feats.astype(source_params.dtype, copy=False)
 
     # k = 0 switches the local module off: plain argmax with entropy-only ranking
     source_probs, _, _ = forward(source_params, feats)
@@ -341,9 +347,11 @@ def run_tta(frames, source_params: NetworkParams, config: AdaptConfig,
     are scored alongside to report the improvement. `state` may be supplied
     to continue a previous run (continual mode): the adapted model carries
     over, the window history starts empty, and `config` replaces its config
-    for every stage. `dump_dir` writes predictions in .label format.
+    for every stage. `dump_dir` writes predictions in .label format. The run
+    adapts a float32 copy of `source_params`, which it leaves as they are.
     """
     class_map = _checked_class_map(class_map, source_params)
+    source_params = source_params.astype(np.float32)
     if state is None:
         state = AdaptationState.init(source_params, config)
     state.config = config
@@ -368,9 +376,11 @@ def run_ablation(frames, source_params: NetworkParams, config: AdaptConfig,
     """Run the cumulative ablation ladder; returns [(name, RunReport)].
 
     One pass over `frames`: each frame's source stage runs once and every row
-    adapts its own state on it, so `frames` may be a one-pass iterable.
+    adapts its own state on it, so `frames` may be a one-pass iterable. Like
+    `run_tta`, it adapts float32 copies of `source_params`.
     """
     class_map = _checked_class_map(class_map, source_params)
+    source_params = source_params.astype(np.float32)
     states = [AdaptationState.init(source_params, replace(config, **toggles))
               for _, toggles in ABLATION_LADDER]
     reports = _run_rows(frames, source_params, states, class_map)

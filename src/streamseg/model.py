@@ -8,12 +8,17 @@ The network is a small fully connected stack applied pointwise:
     z -> 32 -> 32 (ReLU hidden)               encoder head
     encoder out -> 16 -> 32 (ReLU hidden)     predictor head
 
-All parameters are 64-bit; forward/backward are pure given a parameter
-snapshot. This is the only module that knows the layers; `temporal` sees
-only head outputs. The backward is derived by hand, layer by layer, and
-reproduces the arithmetic of the reverse-mode tape in `autodiff` op for
-op, so its gradients equal the tape's bitwise. Checkpoints are flat binary
-records with magic "HGL1".
+The model computes in its parameters' dtype: float64 parameters give
+float64 activations, gradients and Adam moments, and float32 parameters
+float32 ones. There is no global switch. `NetworkParams.init`, `load` and
+pretraining are float64; adaptation runs a float32 copy (`astype`), and
+checkpoints are float64 on disk whatever the parameters' dtype.
+Forward/backward are pure given a parameter snapshot. This is the only
+module that knows the layers; `temporal` sees only head outputs. The
+backward is derived by hand, layer by layer, and reproduces the arithmetic
+of the reverse-mode tape in `autodiff` op for op, so at float64 its
+gradients equal the tape's bitwise. Checkpoints are flat binary records
+with magic "HGL1".
 """
 
 from __future__ import annotations
@@ -80,12 +85,21 @@ class NetworkParams:
     def embed_dim(self) -> int:
         return self.tensors["classifier_w"].shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the model computes in."""
+        return self.tensors["backbone1_w"].dtype
+
     def names(self):
         return [f"{n}_{s}" for n, _, _ in _layer_specs(self.feature_dim, self.num_classes)
                 for s in ("w", "b")]
 
     def copy(self) -> "NetworkParams":
         return NetworkParams({k: v.copy() for k, v in self.tensors.items()})
+
+    def astype(self, dtype) -> "NetworkParams":
+        """A copy whose tensors hold `dtype`, so the model computes in it."""
+        return NetworkParams({k: v.astype(dtype) for k, v in self.tensors.items()})
 
     def save(self, path) -> None:
         try:
@@ -208,8 +222,11 @@ def _relu(s):
 
 
 def forward_pass(params: NetworkParams, features, classify: bool = True) -> ForwardPass:
-    """The network's one forward pass; `classify=False` stops at the embedding."""
-    x = np.asarray(features, dtype=np.float64)
+    """The network's one forward pass; `classify=False` stops at the embedding.
+
+    The features are cast to the parameters' dtype unless they hold it.
+    """
+    x = np.asarray(features, dtype=params.dtype)
     h1, m1 = _relu(_dense(params, "backbone1", x))
     h2, m2 = _relu(_dense(params, "backbone2", h1))
     z = _dense(params, "embed", h2)
@@ -261,7 +278,7 @@ def backbone_backward(params: NetworkParams, fp: ForwardPass, g_z, grads: dict) 
 
 def forward(params: NetworkParams, features):
     """Pointwise forward pass; returns (ProbabilityField, z, logits)."""
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
         raise ShapeMismatch(
             f"expected N x {params.feature_dim} features, got {features.shape}")
@@ -306,7 +323,9 @@ _BETA2 = 0.999
 
 def adam_step(params: NetworkParams, grads: dict, state: OptimizerState,
               lr: float = 1e-3, wd: float = 1e-5, eps: float = 1e-8):
-    """One bias-corrected Adam step with decoupled weight decay."""
+    """One bias-corrected Adam step with decoupled weight decay, in the parameters' dtype."""
+    # as Python floats: a NumPy float64 scalar would promote float32 tensors to float64
+    lr, wd, eps = float(lr), float(wd), float(eps)
     state.step += 1
     t = state.step
     for name, p in params.tensors.items():
@@ -463,6 +482,9 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                 keep_frac = (1.0, 0.5, 0.7)[epoch % 3]
                 views = [jittered(f, rng, keep_frac) for f in seq]
                 feats = [feature_fn(f) for f in views]
+                # the trunk is frozen here: Adam leaves a tensor with zero gradient and
+                # zero decay bitwise as it is, so one embedding per view serves the epoch
+                z = {}
                 for t in range(window, len(seq)):
                     frame_t, frame_prev = views[t], views[t - window]
                     pairs = spatial.match_correspondences(frame_t, frame_prev, _WARMUP_TAU)
@@ -473,14 +495,16 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                         idx_t=pairs.idx_t, idx_prev=pairs.idx_prev,
                         s_t=np.ones(frame_t.num_points),
                         s_prev=np.ones(frame_prev.num_points))
-                    heads_t = heads(params, forward_pass(params, feats[t], classify=False).z)
-                    heads_prev = heads(params, forward_pass(params, feats[t - window],
-                                                            classify=False).z)
+                    for i in (t, t - window):
+                        if i not in z:
+                            z[i] = forward_pass(params, feats[i], classify=False).z
+                    heads_t, heads_prev = heads(params, z[t]), heads(params, z[t - window])
                     term = temporal_term(heads_t, heads_prev, batch)
                     grads = {}   # the heads' only: adam_step treats the rest as zero
                     if term is not None:
                         heads_backward(params, heads_prev, term[2], grads)
                         heads_backward(params, heads_t, term[1], grads)
+                    del heads_t, heads_prev, term   # nothing outlives its pair's backward
                     params, head_state = adam_step(params, grads, head_state,
                                                    lr=lr, wd=0.0)
     return params, history

@@ -56,7 +56,8 @@ def temporal_term(heads_t, heads_prev, batch: TemporalBatch):
     outputs `q` of frames t and t-w. Returns None when no pair is usable;
     degenerate pairs are skipped. Otherwise returns (loss, d loss / d q_t,
     d loss / d q_prev). Gradients flow only through the predictor branch of
-    each direction; the encoder branch is detached.
+    each direction; the encoder branch is detached. The loss and gradients
+    hold the head outputs' dtype.
     """
     rows = [_unit_rows(heads_t.q, batch.idx_t), _unit_rows(heads_prev.q, batch.idx_prev),
             _unit_rows(heads_prev.e, batch.idx_prev), _unit_rows(heads_t.e, batch.idx_t)]
@@ -68,8 +69,9 @@ def temporal_term(heads_t, heads_prev, batch: TemporalBatch):
         idx_t, idx_prev = idx_t[keep], idx_prev[keep]
         rows = [(unit[keep], norm[keep]) for unit, norm in rows]
     (qn_t, norm_t), (qn_prev, norm_prev), (zn_prev, _), (zn_t, _) = rows
-    w_fwd = batch.s_prev[idx_prev]   # weight of the z^{t-w} side
-    w_bwd = batch.s_t[idx_t]         # weight of the z^t side
+    # the weights enter in the heads' dtype, so a float32 model's gradients stay float32
+    w_fwd = batch.s_prev[idx_prev].astype(heads_t.q.dtype, copy=False)   # the z^{t-w} side
+    w_bwd = batch.s_t[idx_t].astype(heads_t.q.dtype, copy=False)         # the z^t side
 
     fwd = w_fwd * np.einsum("nd,nd->n", qn_t, zn_prev)
     bwd = w_bwd * np.einsum("nd,nd->n", qn_prev, zn_t)

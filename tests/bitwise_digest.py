@@ -1,6 +1,7 @@
 """SHA-256 digests of streamseg's bitwise contract, for comparing two trees.
 
-    PYTHONPATH=<tree>/src python tests/bitwise_digest.py CHECKPOINT
+    PYTHONPATH=<tree>/src python tests/bitwise_digest.py CHECKPOINT \
+        [--keep-pred DIR] [--against DIR]
 
 Prints one ``<name> <sha256>`` line per output:
 
@@ -14,7 +15,11 @@ Prints one ``<name> <sha256>`` line per output:
   on six clean source frames and their jittered copy.
 
 A change that promises bitwise-equal outputs prints the same lines as its
-parent when both run with the same CHECKPOINT on the same machine. The
+parent when both run with the same CHECKPOINT on the same machine. For a
+change that may move predictions, ``--keep-pred DIR`` keeps one tree's
+golden predictions in DIR, and ``--against DIR`` run on the other tree adds
+the line ``golden.pred_differ <n>/<points>``: the golden points whose
+prediction differs from the one in DIR. The
 script sets BLAS to one thread unless the environment already chooses.
 pytest does not collect this file.
 """
@@ -57,15 +62,27 @@ def _feature_fn(frame):
     return harness.frame_features(frame, 20)[1]
 
 
-def golden(params):
+def _labels(blobs):
+    return np.concatenate([np.frombuffer(blob, dtype="<u4") for blob in blobs])
+
+
+def golden(params, keep_pred=None, against=None):
     frames = stream.generate_sequence(stream.SceneConfig(seed=SCENE_SEED, frames=GOLDEN_FRAMES),
                                       stream.ShiftConfig(**SHIFT))
-    with tempfile.TemporaryDirectory() as dump:
+    names = [f"{f.frame_id:06d}.label" for f in frames]
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(keep_pred or tmp)
         report, state = harness.run_tta(frames, params, harness.AdaptConfig(), dump_dir=dump)
-        preds = [Path(dump, f"{f.frame_id:06d}.label").read_bytes() for f in frames]
+        preds = [(dump / name).read_bytes() for name in names]
     yield "golden.csv", _sha(report.csv_text(include_time=False).encode())
     yield "golden.params", _sha(_params_bytes(state.target_params))
     yield "golden.pred", _sha(*preds)
+    if against is not None:
+        mine = _labels(preds)
+        theirs = _labels(Path(against, name).read_bytes() for name in names)
+        if len(mine) != len(theirs):
+            sys.exit(f"{against} holds {len(theirs)} golden predictions, not {len(mine)}")
+        yield "golden.pred_differ", f"{np.count_nonzero(mine != theirs)}/{len(mine)}"
 
     for name, row in harness.run_ablation(frames[:LADDER_FRAMES], params, harness.AdaptConfig()):
         yield f"ladder.{name}", _sha(row.csv_text(include_time=False).encode())
@@ -86,10 +103,14 @@ def pretrain():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkpoint", help="source checkpoint the adaptation runs start from")
+    parser.add_argument("--keep-pred", metavar="DIR",
+                        help="write the golden predictions to DIR as .label files")
+    parser.add_argument("--against", metavar="DIR",
+                        help="count the golden points whose prediction differs from DIR's")
     args = parser.parse_args(argv)
     print(f"streamseg from {Path(harness.__file__).parent}", file=sys.stderr)
     params = model.NetworkParams.load(args.checkpoint)
-    for outputs in (golden(params), pretrain()):
+    for outputs in (golden(params, args.keep_pred, args.against), pretrain()):
         for name, digest in outputs:
             print(name, digest, flush=True)
 

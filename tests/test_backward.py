@@ -196,3 +196,36 @@ class TestHeadWarmupEqualsTape:
         assert sorted(grads) == sorted(HEAD_NAMES)
         for name in HEAD_NAMES:
             assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+#: Largest float32 deviation from float64 allowed in the loss, its parts and
+#: every gradient, relative to the float64 value (for a gradient, relative to
+#: its tensor's largest entry). The three cases deviate by at most 3.3e-7.
+FLOAT32_RTOL = 1e-5
+
+
+class TestFloat32:
+    """The same hand backward in single precision, against itself in double."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("temporal", [False, True], ids=["dice", "dice+temporal"])
+    def test_loss_and_grad_keep_the_parameters_dtype(self, dtype, temporal):
+        params, feats, labels, s, batch = case(0)
+        loss, grads, parts = model.total_loss_and_grad(
+            params.astype(dtype), feats, labels, s, 0.3, batch if temporal else None)
+        assert type(loss) is float and all(type(v) is float for v in parts)
+        assert (parts[1] != 0.0) == temporal
+        assert list(grads) == params.names()
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_float32_matches_float64(self, seed):
+        params, feats, labels, s, batch = case(seed)
+        loss, grads, parts = model.total_loss_and_grad(params, feats, labels, s, 0.3, batch)
+        loss32, grads32, parts32 = model.total_loss_and_grad(
+            params.astype(np.float32), feats, labels, s, 0.3, batch)
+        np.testing.assert_allclose(loss32, loss, rtol=FLOAT32_RTOL)
+        np.testing.assert_allclose(parts32, parts, rtol=FLOAT32_RTOL)
+        for name, g in grads.items():
+            assert np.abs(grads32[name] - g).max() <= FLOAT32_RTOL * np.abs(g).max(), name

@@ -152,6 +152,25 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.err == "" and "mIoU" in captured.out
 
+    def test_adapt_then_eval_pairs_unpadded_frame_numbers(self, pipeline, tmp_path, capsys):
+        # adapt reads 100.bin-102.bin and dumps 000100.label-000102.label;
+        # eval pairs those with the ground truth's 100.label-102.label by value
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for i in range(3):
+            for suffix in (".bin", ".label"):
+                shutil.copy(pipeline / "seq" / f"{i:06d}{suffix}", seq / f"{100 + i}{suffix}")
+        poses = (pipeline / "seq" / "poses.txt").read_text().splitlines()
+        (seq / "poses.txt").write_text("\n".join(poses[:3]) + "\n")
+        assert cli.main(["adapt", str(seq), "--checkpoint", str(pipeline / "ckpt.bin"),
+                         "--dump-pred", str(tmp_path / "pred")]) == 0
+        dumped = sorted(p.name for p in (tmp_path / "pred" / "seq").glob("*.label"))
+        assert dumped == ["000100.label", "000101.label", "000102.label"]
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "pred" / "seq"), str(seq)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "mIoU" in captured.out
+
     def test_ablate_prints_ladder(self, pipeline, capsys):
         rc = cli.main(["ablate", str(pipeline / "seq"),
                        "--checkpoint", str(pipeline / "ckpt.bin")])
@@ -348,6 +367,30 @@ class TestErrorPaths:
         assert cli.main(["eval", str(pred), str(gt)]) == 1
         err = capsys.readouterr().err
         assert "000000" in err and "000002" in err
+
+    def test_eval_pairs_numeric_stems_by_value_in_frame_order(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        # both predictions hold a bad id; by value, frame 9 comes before frame 10,
+        # although "10" sorts before "9" as text
+        for i, bad in ((9, 9), (10, 8)):
+            stream.write_label_file(pred / f"{i}.label", np.array([0, bad, 2]))
+            stream.write_label_file(gt / f"{i:06d}.label", np.array([0, 1, 2]))
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        assert capsys.readouterr().err.startswith("error: frame 9: predicted class id 9 ")
+
+    def test_eval_rejects_two_files_with_one_frame_number(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        labels = np.zeros(3, dtype=np.int64)
+        for name in ("000007.label", "7.label"):
+            stream.write_label_file(pred / name, labels)
+        stream.write_label_file(gt / "7.label", labels)
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "000007.label" in err and "7.label" in err
 
     def test_eval_of_empty_directories_is_an_error_line(self, tmp_path, capsys):
         pred = tmp_path / "pred"

@@ -452,6 +452,63 @@ class TestRunTta:
         assert "cumulative mIoU" in text
 
 
+def assert_float32_state(state):
+    for name in state.target_params.names():
+        assert state.target_params.tensors[name].dtype == np.float32, name
+        assert state.optimizer.m[name].dtype == state.optimizer.v[name].dtype == np.float32, name
+    assert state.optimizer.step > 0
+    assert state.bank.prototypes.dtype == np.float64
+
+
+class TestFloat32Adaptation:
+    """Runs adapt a float32 copy of the source model; the caller's stays float64."""
+
+    def test_run_tta_adapts_in_float32_and_leaves_the_source(self):
+        params = tiny_params()
+        before = params.copy()
+        _, state = harness.run_tta(tiny_stream(4), params, harness.AdaptConfig(window=2))
+        assert_float32_state(state)
+        for name in params.names():
+            assert params.tensors[name].dtype == np.float64
+            assert params.tensors[name].tobytes() == before.tensors[name].tobytes(), name
+
+    def test_continued_run_stays_float32(self):
+        frames = tiny_stream(6)
+        params = tiny_params()
+        before = params.copy()
+        _, state = harness.run_tta(frames[:3], params, harness.AdaptConfig(window=2))
+        _, state = harness.run_tta(frames[3:], params, harness.AdaptConfig(window=2),
+                                   state=state)
+        assert_float32_state(state)
+        for name in params.names():
+            assert params.tensors[name].tobytes() == before.tensors[name].tobytes(), name
+
+    def test_every_ablation_row_adapts_in_float32(self, monkeypatch):
+        states, sources = {}, []
+        source_stage, target_stage = harness.source_stage, harness.target_stage
+
+        def record_source(source_params, frame, config, partner):
+            sources.append(source_stage(source_params, frame, config, partner))
+            return sources[-1]
+
+        def record_target(state, source, partner):
+            states[id(state)] = state
+            return target_stage(state, source, partner)
+
+        monkeypatch.setattr(harness, "source_stage", record_source)
+        monkeypatch.setattr(harness, "target_stage", record_target)
+        params = tiny_params()
+        before = params.copy()
+        harness.run_ablation(tiny_stream(4), params, harness.AdaptConfig(window=2))
+        assert len(states) == len(harness.ABLATION_LADDER)
+        for state in states.values():
+            assert_float32_state(state)
+        # the frame's features are cast once, in the source stage
+        assert all(source.features.dtype == np.float32 for source in sources)
+        for name in params.names():
+            assert params.tensors[name].tobytes() == before.tensors[name].tobytes(), name
+
+
 class TestAblation:
     def test_ladder_rows_accumulate_toggles(self):
         names = [name for name, _ in harness.ABLATION_LADDER]

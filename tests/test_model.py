@@ -82,6 +82,62 @@ class TestForward:
         assert h.q.shape == (8, 32)
 
 
+class TestPrecision:
+    """The model computes in its parameters' dtype; there is no global switch."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_astype_copies_every_tensor(self, dtype):
+        params = random_params()
+        cast = params.astype(dtype)
+        assert params.dtype == np.float64 and cast.dtype == dtype
+        assert cast.names() == params.names()
+        for name in params.names():
+            assert cast.tensors[name].dtype == dtype
+            assert not np.shares_memory(cast.tensors[name], params.tensors[name])
+            np.testing.assert_array_equal(cast.tensors[name], params.tensors[name].astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_pass_and_heads_keep_the_parameters_dtype(self, dtype):
+        params = random_params().astype(dtype)
+        feats = np.random.default_rng(0).normal(size=(12, 9))   # float64 either way
+        fp = model.forward_pass(params, feats)
+        for name in ("x", "h1", "h2", "z", "logits", "probs"):
+            assert getattr(fp, name).dtype == dtype, name
+        h = model.heads(params, fp.z)
+        for name in ("h_enc", "e", "h_pred", "q"):
+            assert getattr(h, name).dtype == dtype, name
+        probs, z, logits = model.forward(params, feats)
+        assert z.dtype == logits.dtype == dtype
+        assert probs.values.dtype == np.float64   # a ProbabilityField is float64
+
+    def test_features_in_the_parameters_dtype_are_not_copied(self):
+        params = random_params().astype(np.float32)
+        feats = np.random.default_rng(0).normal(size=(12, 9)).astype(np.float32)
+        assert model.forward_pass(params, feats).x is feats
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_keeps_the_parameters_dtype(self, dtype):
+        params = random_params(seed=3).astype(dtype)
+        rng = np.random.default_rng(7)
+        state = model.OptimizerState.init(params)
+        for _ in range(2):
+            grads = {k: rng.normal(size=v.shape).astype(dtype) for k, v in params.tensors.items()}
+            params, state = model.adam_step(params, grads, state, lr=1e-3, wd=1e-5, eps=3e-3)
+        for name in params.names():
+            assert params.tensors[name].dtype == dtype, name
+            assert state.m[name].dtype == state.v[name].dtype == dtype, name
+
+    def test_numpy_scalar_hyperparameters_keep_float32(self):
+        # an AdaptConfig may hold NumPy scalars, say from a sweep over np.logspace
+        params = random_params(seed=3).astype(np.float32)
+        grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
+        state = model.OptimizerState.init(params)
+        params, state = model.adam_step(params, grads, state, lr=np.float64(1e-3),
+                                        wd=np.float64(1e-5), eps=np.float64(3e-3))
+        assert params.dtype == np.float32
+        assert all(m.dtype == np.float32 for m in state.m.values())
+
+
 class TestNormalizeFeatures:
     def test_density_is_log_compressed(self):
         f = np.zeros((2, 9))
@@ -237,6 +293,19 @@ class TestCheckpoint:
         for name in params.names():
             np.testing.assert_array_equal(back.tensors[name], params.tensors[name])
 
+    def test_float32_parameters_save_as_float64(self, tmp_path):
+        params = random_params(seed=6, num_classes=7)
+        single = params.astype(np.float32)
+        single.save(tmp_path / "single.bin")
+        single.astype(np.float64).save(tmp_path / "double.bin")
+        # the same "HGL1" float64 file as the widened parameters give
+        assert (tmp_path / "single.bin").read_bytes() == (tmp_path / "double.bin").read_bytes()
+        back = model.NetworkParams.load(tmp_path / "single.bin")
+        assert back.dtype == np.float64
+        for name in params.names():
+            assert back.tensors[name].astype(np.float32).tobytes() == \
+                single.tensors[name].tobytes(), name
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -342,6 +411,35 @@ class TestPretrain:
                 assert not same, f"{name} should move during warm-up"
             else:
                 assert same, f"{name} must stay frozen during warm-up"
+
+    def test_head_warmup_leaves_trunk_and_classifier_bitwise_unchanged(self):
+        # the premise of embedding each view once per epoch: Adam with a zero
+        # gradient and zero decay leaves a tensor byte for byte as it is
+        seq = toy_sequence(2, frames=7)
+        base, _ = model.pretrain_source([seq], epochs=1, seed=3, feature_fn=toy_features,
+                                        num_classes=2, head_epochs=0)
+        warm, _ = model.pretrain_source([seq], epochs=1, seed=3, feature_fn=toy_features,
+                                        num_classes=2, head_epochs=2, window=3)
+        for name in base.names():
+            if name not in HEAD_NAMES:
+                assert warm.tensors[name].tobytes() == base.tensors[name].tobytes(), name
+
+    def test_head_warmup_embeds_each_view_once_per_epoch(self, monkeypatch):
+        embedded = []
+        original = model.forward_pass
+
+        def counted(params, features, classify=True):
+            if not classify:
+                embedded.append(features)
+            return original(params, features, classify)
+
+        monkeypatch.setattr(model, "forward_pass", counted)
+        seq = toy_sequence(2, frames=7)
+        model.pretrain_source([seq], epochs=1, seed=3, feature_fn=toy_features,
+                              num_classes=2, head_epochs=2, window=3)
+        # 4 pairs over 7 views per epoch: each view once, not once per pair end
+        assert len(embedded) == 2 * 7
+        assert len({id(f) for f in embedded}) == len(embedded)
 
     def test_head_warmup_runs_no_trunk_backward(self, monkeypatch):
         calls = []
