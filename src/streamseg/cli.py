@@ -9,8 +9,7 @@ from pathlib import Path
 
 from . import harness, model, stream
 from .core import ClassMap, LabelField, remap_labels
-from .errors import (ConfigInvalid, EmptyInput, LabelOutOfRange, LengthMismatch, MalformedRecord,
-                     StreamSegError)
+from .errors import ConfigInvalid, EmptyInput, LabelOutOfRange, LengthMismatch, StreamSegError
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser):
@@ -119,26 +118,10 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def _label_files(directory) -> dict:
-    """The directory's .label files by frame key, in frame order.
-
-    A numeric stem keys by its value, as `read_sequence` numbers scans, so
-    `100.label` pairs with `000100.label`; any other stem keys by itself.
-    """
-    files = {}
-    for path in sorted(Path(directory).glob("*.label")):
-        numeric = path.stem.isascii() and path.stem.isdigit()
-        key = (0, int(path.stem)) if numeric else (1, path.stem)
-        first = files.setdefault(key, path)
-        if first != path:
-            raise MalformedRecord(f"{path}: frame number {key[1]} repeats {first.name}")
-    return dict(sorted(files.items()))
-
-
 def cmd_eval(args) -> int:
     class_map = _load_class_map(args.class_map)
-    pred_files = _label_files(args.pred)
-    gt_files = _label_files(args.gt)
+    pred_files = stream.numbered_files(args.pred, ".label")
+    gt_files = stream.numbered_files(args.gt, ".label")
     unpaired = sorted(pred_files.keys() ^ gt_files.keys())
     for key in unpaired:
         if key in pred_files:

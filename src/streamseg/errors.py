@@ -65,11 +65,11 @@ class CheckpointMismatch(StreamSegError):
 
 class ConfigInvalid(StreamSegError):
     @classmethod
-    def check(cls, config, checks):
-        """Raise for the first (field name, holds, bound) of `config` that does not hold."""
+    def check(cls, values, checks):
+        """Raise for the first (name, holds, bound) that does not hold, naming values[name]."""
         for name, ok, bound in checks:
             if not ok:
-                raise cls(f"{name} must be {bound}, got {getattr(config, name)}")
+                raise cls(f"{name} must be {bound}, got {values[name]}")
 
 
 class IoFailure(StreamSegError):

@@ -69,7 +69,7 @@ class AdaptConfig:
                   ("beta_hat", 0 <= self.beta_hat <= 1, "in [0, 1]"),
                   ("lr", 0 <= self.lr < np.inf, "finite and >= 0"),
                   ("wd", 0 <= self.wd < np.inf, "finite and >= 0"))
-        ConfigInvalid.check(self, checks)
+        ConfigInvalid.check(vars(self), checks)
 
 
 @dataclass

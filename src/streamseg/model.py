@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import spatial
-from .core import IGNORE, ConfidenceField, Frame, LabelField, ProbabilityField
+from . import spatial, stream
+from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField
 from .errors import ConfigInvalid, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 from .temporal import TemporalBatch, temporal_term
 
@@ -419,19 +419,20 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     The encoder/predictor heads receive no gradient from the Dice loss, so
     a short warm-up follows: with the backbone and classifier frozen, the
     heads alone are trained on the cross-frame consistency term over pairs
-    of source frames `window` apart. Skipped when head_epochs is 0 or no
-    sequence is long enough to form a pair.
+    of jittered source frames (`stream.jitter`) `window` apart; a view is
+    featurized and embedded when a pair first needs it. Skipped when
+    head_epochs is 0 or no sequence is long enough to form a pair.
     """
     # num_classes >= 2: adaptation's certainty score divides by log(num_classes)
-    for name, value, ok, bound in (("epochs", epochs, epochs >= 1, ">= 1"),
-                                   ("num_classes", num_classes, num_classes >= 2, ">= 2"),
-                                   ("lr", lr, 0 <= lr < np.inf, "finite and >= 0"),
-                                   ("wd", wd, 0 <= wd < np.inf, "finite and >= 0"),
-                                   ("head_epochs", head_epochs, head_epochs >= 0, ">= 0"),
-                                   ("window", window, window >= 1, ">= 1"),
-                                   ("seed", seed, seed >= 0, ">= 0")):
-        if not ok:
-            raise ConfigInvalid(f"{name} must be {bound}, got {value}")
+    ConfigInvalid.check(dict(epochs=epochs, num_classes=num_classes, lr=lr, wd=wd,
+                             head_epochs=head_epochs, window=window, seed=seed),
+                        (("epochs", epochs >= 1, ">= 1"),
+                         ("num_classes", num_classes >= 2, ">= 2"),
+                         ("lr", 0 <= lr < np.inf, "finite and >= 0"),
+                         ("wd", 0 <= wd < np.inf, "finite and >= 0"),
+                         ("head_epochs", head_epochs >= 0, ">= 0"),
+                         ("window", window >= 1, ">= 1"),
+                         ("seed", seed >= 0, ">= 0")))
     frames = [f for seq in sequences for f in seq]
     if not frames:
         raise NoGroundTruth("no frames to pretrain on")
@@ -462,42 +463,32 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
         history.append(float(np.mean(losses)))
 
     if head_epochs > 0:
-        def jittered(frame, rng, keep_frac):
-            # sensor-noise + sparsity augmentation so the heads meet
-            # realistic frame-to-frame discrepancies before they steer
-            # the shared trunk at adaptation time
-            noisy = frame.points + rng.normal(0.0, _WARMUP_JITTER,
-                                              frame.points.shape)
-            if keep_frac < 1.0:
-                keep = rng.uniform(size=len(noisy)) < keep_frac
-                if keep.sum() < 32:
-                    keep[:] = True
-                noisy = noisy[keep]
-            return Frame(frame.frame_id, noisy, frame.pose)
-
         rng = np.random.default_rng([seed, 0xA11])
         head_state = OptimizerState.init(params)
         for epoch in range(head_epochs):
             for seq in sequences:
-                keep_frac = (1.0, 0.5, 0.7)[epoch % 3]
-                views = [jittered(f, rng, keep_frac) for f in seq]
-                feats = [feature_fn(f) for f in views]
+                # noise + sparsity augmentation: the heads meet realistic frame-to-frame
+                # discrepancies before they steer the shared trunk at adaptation time
+                views = [stream.jitter(f, rng, _WARMUP_JITTER, (1.0, 0.5, 0.7)[epoch % 3])
+                         for f in seq]
                 # the trunk is frozen here: Adam leaves a tensor with zero gradient and
-                # zero decay bitwise as it is, so one embedding per view serves the epoch
-                z = {}
+                # zero decay bitwise as it is, so a view's features and embedding, made
+                # when a pair first needs the view, serve the epoch
+                feats, z = {}, {}
                 for t in range(window, len(seq)):
                     frame_t, frame_prev = views[t], views[t - window]
                     pairs = spatial.match_correspondences(frame_t, frame_prev, _WARMUP_TAU)
                     if not len(pairs.idx_t):
                         continue
+                    for i in (t, t - window):
+                        if i not in z:
+                            feats[i] = feature_fn(views[i])
+                            z[i] = forward_pass(params, feats[i], classify=False).z
                     batch = TemporalBatch(
                         features_prev=feats[t - window],
                         idx_t=pairs.idx_t, idx_prev=pairs.idx_prev,
                         s_t=np.ones(frame_t.num_points),
                         s_prev=np.ones(frame_prev.num_points))
-                    for i in (t, t - window):
-                        if i not in z:
-                            z[i] = forward_pass(params, feats[i], classify=False).z
                     heads_t, heads_prev = heads(params, z[t]), heads(params, z[t - window])
                     term = temporal_term(heads_t, heads_prev, batch)
                     grads = {}   # the heads' only: adam_step treats the rest as zero

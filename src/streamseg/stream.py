@@ -58,7 +58,7 @@ class SceneConfig:
                   ("sensor_height", np.isfinite(self.sensor_height), "finite")]
         checks += [(name, 0 < getattr(self, name) < np.inf, "finite and > 0")
                    for name in positive]
-        ConfigInvalid.check(self, checks)
+        ConfigInvalid.check(vars(self), checks)
         if not max(getattr(self, name) for name in spacings) <= 2 * self.sensor_range:
             raise ConfigInvalid("instance spacing exceeds sensor coverage; "
                                 "some classes would vanish from frames")
@@ -79,7 +79,7 @@ class ShiftConfig:
                   ("jitter_sigma", 0 <= self.jitter_sigma < np.inf, "finite and >= 0"),
                   ("density_factor", 0 < self.density_factor < np.inf, "finite and > 0"),
                   ("sensor_height_offset", np.isfinite(self.sensor_height_offset), "finite"))
-        ConfigInvalid.check(self, checks)
+        ConfigInvalid.check(vars(self), checks)
         d = np.asarray(self.class_dropout, dtype=np.float64)
         if not (d.shape == (_NUM_CLASSES,) and np.all((0 <= d) & (d < 1))):
             raise ConfigInvalid(f"class_dropout must be {_NUM_CLASSES} probabilities in [0, 1)")
@@ -303,15 +303,30 @@ def generate_sequence(scene: SceneConfig, shift: ShiftConfig):
     return frames
 
 
+def jitter(frame: Frame, rng, sigma: float, keep_frac: float = 1.0) -> Frame:
+    """`frame` with N(0, sigma) noise on every coordinate, each point kept with odds `keep_frac`.
+
+    `rng` draws the noise first, and the keep mask only when `keep_frac` < 1;
+    every point stays if fewer than 32 would. The ground truth, if any, is
+    subsampled with the points.
+    """
+    points = frame.points + rng.normal(0.0, sigma, frame.points.shape)
+    labels = frame.gt_labels
+    if keep_frac < 1.0:
+        keep = rng.uniform(size=len(points)) < keep_frac
+        if keep.sum() < 32:
+            keep[:] = True
+        points = points[keep]
+        labels = None if labels is None else labels[keep]
+    return Frame(frame.frame_id, points, frame.pose, labels)
+
+
 def jittered_copies(sequences, sigma: float, seed: int):
     """A copy of each sequence with N(0, sigma) noise on every coordinate, seeded by `seed`."""
-    for name, value in (("jitter sigma", sigma), ("seed", seed)):
-        if not value >= 0:
-            raise ConfigInvalid(f"{name} must be >= 0, got {value}")
+    ConfigInvalid.check({"jitter sigma": sigma, "seed": seed},
+                        (("jitter sigma", sigma >= 0, ">= 0"), ("seed", seed >= 0, ">= 0")))
     rng = np.random.default_rng([seed, 0xAA6])
-    return [[Frame(f.frame_id, f.points + rng.normal(0.0, sigma, f.points.shape),
-                   f.pose, f.gt_labels) for f in seq]
-            for seq in sequences]
+    return [[jitter(f, rng, sigma) for f in seq] for seq in sequences]
 
 
 # -- sequence I/O ------------------------------------------------------------
@@ -361,6 +376,21 @@ def write_sequence(frames, directory) -> None:
         raise IoFailure(str(e)) from e
 
 
+def numbered_files(directory, suffix: str) -> dict:
+    """{frame number: path} of the directory's `suffix` files, in frame order.
+
+    Each must be named by its frame number; `1.bin` and `000001.bin` together are malformed.
+    """
+    files = {}
+    for path in sorted(Path(directory).glob(f"*{suffix}")):
+        if not (path.stem.isascii() and path.stem.isdigit()):
+            raise MalformedRecord(f"{path}: file name is not a frame number")
+        first = files.setdefault(int(path.stem), path)
+        if first != path:
+            raise MalformedRecord(f"{path}: frame number {int(path.stem)} repeats {first.name}")
+    return dict(sorted(files.items()))
+
+
 def read_sequence(directory):
     """Read a KITTI-layout sequence back into frames.
 
@@ -370,14 +400,7 @@ def read_sequence(directory):
     a matching .label file exists.
     """
     directory = Path(directory)
-    scans = {}
-    for bin_path in sorted(directory.glob("*.bin")):
-        if not (bin_path.stem.isascii() and bin_path.stem.isdigit()):
-            raise MalformedRecord(f"{bin_path}: file name is not a frame number")
-        first = scans.setdefault(int(bin_path.stem), bin_path)
-        if first != bin_path:
-            raise MalformedRecord(f"{bin_path}: frame number {int(bin_path.stem)} "
-                                  f"repeats {first.name}")
+    scans = numbered_files(directory, ".bin")
     if not scans:
         raise IoFailure(f"{directory}: no .bin files")
     pose_path = directory / "poses.txt"
@@ -387,7 +410,7 @@ def read_sequence(directory):
             f"{directory}: {len(pose_rows)} poses for {len(scans)} frames")
 
     frames = []
-    for i, (frame_id, bin_path) in enumerate(sorted(scans.items())):
+    for i, (frame_id, bin_path) in enumerate(scans.items()):
         try:
             blob = bin_path.read_bytes()
         except OSError as e:

@@ -12,7 +12,9 @@ Prints one ``<name> <sha256>`` line per output:
 - ``ladder.<row>``: each row's ``csv_text(include_time=False)`` of
   ``run_ablation`` over the 15-frame golden prefix;
 - ``pretrain.params``, ``pretrain.history``: a short ``pretrain_source`` run
-  on six clean source frames and their jittered copy.
+  on six clean source frames and their jittered copy;
+- ``pretrain.warmup3.params``: the same run with three head epochs, so the
+  warm-up also subsamples its views (keep fractions 0.5 and 0.7).
 
 A change that promises bitwise-equal outputs prints the same lines as its
 parent when both run with the same CHECKPOINT on the same machine. For a
@@ -45,6 +47,8 @@ from test_acceptance import SCENE_SEED, SHIFT  # noqa: E402
 GOLDEN_FRAMES = 40
 LADDER_FRAMES = 15
 PRETRAIN = dict(frames=6, epochs=3, head_epochs=1, window=5, seed=0, num_classes=7)
+#: Head epochs of the ``pretrain.warmup3`` run: keep fractions 1.0, 0.5 and 0.7.
+WARMUP_HEAD_EPOCHS = 3
 
 
 def _sha(*chunks) -> str:
@@ -92,12 +96,18 @@ def pretrain():
     p = PRETRAIN
     clean = stream.generate_sequence(stream.SceneConfig(seed=SCENE_SEED, frames=p["frames"]),
                                      stream.ShiftConfig())
-    jittered = stream.jittered_copies([clean], 0.05, 0)[0]
-    params, history = model.pretrain_source(
-        [clean, jittered], epochs=p["epochs"], seed=p["seed"], feature_fn=_feature_fn,
-        num_classes=p["num_classes"], head_epochs=p["head_epochs"], window=p["window"])
+    sequences = [clean, stream.jittered_copies([clean], 0.05, 0)[0]]
+
+    def run(head_epochs):
+        return model.pretrain_source(
+            sequences, epochs=p["epochs"], seed=p["seed"], feature_fn=_feature_fn,
+            num_classes=p["num_classes"], head_epochs=head_epochs, window=p["window"])
+
+    params, history = run(p["head_epochs"])
     yield "pretrain.params", _sha(_params_bytes(params))
     yield "pretrain.history", _sha(np.asarray(history).tobytes())
+    params, _ = run(WARMUP_HEAD_EPOCHS)
+    yield "pretrain.warmup3.params", _sha(_params_bytes(params))
 
 
 def main(argv=None):

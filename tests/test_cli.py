@@ -392,6 +392,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "000007.label" in err and "7.label" in err
 
+    def test_eval_of_a_file_not_named_by_a_frame_number_is_an_error_line(self, tmp_path,
+                                                                         capsys):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        labels = np.zeros(3, dtype=np.int64)
+        stream.write_label_file(pred / "foo.label", labels)
+        stream.write_label_file(gt / "000000.label", labels)
+        assert cli.main(["eval", str(pred), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {pred / 'foo.label'}: file name is not a frame number\n"
+
     def test_eval_of_empty_directories_is_an_error_line(self, tmp_path, capsys):
         pred = tmp_path / "pred"
         gt = tmp_path / "gt"

@@ -431,6 +431,19 @@ class TestRunTta:
                           LabelField(f.gt_labels), 0.0)
         assert rep.source_cumulative_miou == source.cumulative_miou
 
+    def test_source_score_is_a_report_of_the_float32_source_argmax(self):
+        # the run scores the float32 copy it adapts from, on features in its dtype
+        frames = tiny_stream(4)
+        params, config = tiny_params().astype(np.float32), harness.AdaptConfig()
+        rep, _ = harness.run_tta(frames, tiny_params(), config)
+        source = harness.RunReport(rep.class_names)
+        for f in frames:
+            feats = harness.frame_features(f, config.k_feat)[1].astype(np.float32)
+            probs, _, _ = model.forward(params, feats)
+            source.record(f.frame_id, LabelField(np.argmax(probs.values, axis=1)),
+                          LabelField(f.gt_labels), 0.0)
+        assert rep.source_cumulative_miou == source.cumulative_miou
+
     def test_record_without_ground_truth_leaves_the_confusion(self):
         rep = harness.RunReport(("a", "b"))
         pred = LabelField(np.array([0, 1, 1]))

@@ -441,6 +441,21 @@ class TestPretrain:
         assert len(embedded) == 2 * 7
         assert len({id(f) for f in embedded}) == len(embedded)
 
+    def test_head_warmup_featurizes_only_the_views_it_pairs(self):
+        featurized = []
+
+        def counted(frame):
+            featurized.append(frame)
+            return toy_features(frame)
+
+        seq = toy_sequence(2, frames=7)
+        model.pretrain_source([seq], epochs=1, seed=3, feature_fn=counted,
+                              num_classes=2, head_epochs=2, window=5)
+        # 7 frames for the supervised cache, then per epoch the views of pairs
+        # (5, 0) and (6, 1): frames 2-4 enter no pair
+        assert len(featurized) == 7 + 2 * 4
+        assert [f.frame_id for f in featurized[7:]] == [5, 0, 6, 1] * 2
+
     def test_head_warmup_runs_no_trunk_backward(self, monkeypatch):
         calls = []
         original = model.backbone_backward

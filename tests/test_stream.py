@@ -199,6 +199,49 @@ class TestGeneration:
         np.testing.assert_array_equal(again[0].points, a[0].points)
 
 
+class TestJitter:
+    @staticmethod
+    def frame(n, labels=True):
+        rng = np.random.default_rng(0)
+        return Frame(4, rng.uniform(-5, 5, (n, 3)), np.eye(4),
+                     np.arange(n) % 7 if labels else None)
+
+    def test_without_subsampling_draws_only_the_noise(self):
+        frame = self.frame(50)
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        out = stream.jitter(frame, rng, 0.05)
+        noise = twin.normal(0.0, 0.05, frame.points.shape)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(out.points, frame.points + noise)
+        np.testing.assert_array_equal(out.gt_labels, frame.gt_labels)
+        assert out.frame_id == frame.frame_id
+        np.testing.assert_array_equal(out.pose, frame.pose)
+
+    @pytest.mark.parametrize("labels", [True, False], ids=["labeled", "unlabeled"])
+    def test_subsampling_draws_the_mask_after_the_noise(self, labels):
+        frame = self.frame(200, labels)
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        out = stream.jitter(frame, rng, 0.05, keep_frac=0.5)
+        noise = twin.normal(0.0, 0.05, frame.points.shape)
+        keep = twin.uniform(size=frame.num_points) < 0.5
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert 32 <= keep.sum() < frame.num_points
+        np.testing.assert_array_equal(out.points, (frame.points + noise)[keep])
+        if labels:
+            np.testing.assert_array_equal(out.gt_labels, frame.gt_labels[keep])
+        else:
+            assert out.gt_labels is None
+
+    def test_keeps_every_point_when_fewer_than_32_would_stay(self):
+        frame = self.frame(40)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        out = stream.jitter(frame, rng, 0.05, keep_frac=0.5)
+        noise = twin.normal(0.0, 0.05, frame.points.shape)
+        assert (twin.uniform(size=frame.num_points) < 0.5).sum() < 32
+        np.testing.assert_array_equal(out.points, frame.points + noise)
+        np.testing.assert_array_equal(out.gt_labels, frame.gt_labels)
+
+
 class TestSequenceIo:
     def test_round_trip(self, tmp_path):
         frames = stream.generate_sequence(stream.SceneConfig(seed=2, frames=3),
