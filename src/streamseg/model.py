@@ -10,9 +10,10 @@ The network is a small fully connected stack applied pointwise:
 
 The model computes in its parameters' dtype: float64 parameters give
 float64 activations, gradients and Adam moments, and float32 parameters
-float32 ones. There is no global switch. `NetworkParams.init`, `load` and
-pretraining are float64; adaptation runs a float32 copy (`astype`), and
-checkpoints are float64 on disk whatever the parameters' dtype.
+float32 ones. There is no global switch. `NetworkParams.init` and `load`
+are float64; pretraining trains a float32 copy of its init and adaptation a
+float32 copy of the source model (`astype`), and checkpoints are float64 on
+disk whatever the parameters' dtype.
 Forward/backward are pure given a parameter snapshot. This is the only
 module that knows the layers; `temporal` sees only head outputs. The
 backward is derived by hand, layer by layer, and reproduces the arithmetic
@@ -413,8 +414,11 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     `sequences` is a list of frame lists carrying ground truth; `feature_fn`
     maps a frame to the (already normalized) network input. The targets are
     the one-hot ground truth, without label smoothing. Shuffling is fixed by
-    `seed`, so the result is deterministic. Returns (params, per-epoch mean
-    losses).
+    `seed`, so the result is deterministic. Training runs in float32, the
+    dtype adaptation runs in: the parameters are a float32 copy of
+    `NetworkParams.init`, and each frame's and view's features are cast to
+    float32 once. Returns (float32 params, per-epoch mean losses); `save`
+    widens them to float64 on disk.
 
     The encoder/predictor heads receive no gradient from the Dice loss, so
     a short warm-up follows: with the backbone and classifier frozen, the
@@ -446,7 +450,9 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                                 f"is outside [0, {num_classes})")
 
     cache = [feature_fn(f) for f in frames]
-    params = NetworkParams.init(cache[0].shape[1], num_classes, seed=seed)
+    params = NetworkParams.init(cache[0].shape[1], num_classes, seed=seed).astype(np.float32)
+    for i, x in enumerate(cache):   # cast once, in place: each step's forward pass reads x as is
+        cache[i] = np.asarray(x, dtype=params.dtype)
     state = OptimizerState.init(params)
     rng = np.random.default_rng(seed)
     history = []
@@ -482,7 +488,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
                         continue
                     for i in (t, t - window):
                         if i not in z:
-                            feats[i] = feature_fn(views[i])
+                            feats[i] = np.asarray(feature_fn(views[i]), dtype=params.dtype)
                             z[i] = forward_pass(params, feats[i], classify=False).z
                     batch = TemporalBatch(
                         features_prev=feats[t - window],

@@ -3,7 +3,8 @@
     PYTHONPATH=<tree>/src python tests/bitwise_digest.py CHECKPOINT \
         [--keep-pred DIR] [--against DIR]
 
-Prints one ``<name> <sha256>`` line per output:
+Prints ``checkpoint <sha256>``, the digest of the CHECKPOINT file, and then
+one ``<name> <sha256>`` line per output:
 
 - ``golden.csv``, ``golden.params``, ``golden.pred``: ``run_tta`` with the
   default ``AdaptConfig`` from CHECKPOINT over the 40-frame golden-shift
@@ -15,6 +16,9 @@ Prints one ``<name> <sha256>`` line per output:
   on six clean source frames and their jittered copy;
 - ``pretrain.warmup3.params``: the same run with three head epochs, so the
   warm-up also subsamples its views (keep fractions 0.5 and 0.7).
+
+The ``pretrain.*`` runs train in float32, as ``pretrain_source`` does, and
+do not read CHECKPOINT.
 
 A change that promises bitwise-equal outputs prints the same lines as its
 parent when both run with the same CHECKPOINT on the same machine. For a
@@ -120,6 +124,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     print(f"streamseg from {Path(harness.__file__).parent}", file=sys.stderr)
     params = model.NetworkParams.load(args.checkpoint)
+    print("checkpoint", _sha(Path(args.checkpoint).read_bytes()), flush=True)
     for outputs in (golden(params, args.keep_pred, args.against), pretrain()):
         for name, digest in outputs:
             print(name, digest, flush=True)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from streamseg import autodiff as ad
-from streamseg import model
+from streamseg import harness, model
 from streamseg.core import IGNORE, ConfidenceField, LabelField
 
 import tape_graph
+from test_harness import tiny_stream
 from test_model import HEAD_NAMES, toy_features, toy_sequence
 
 N_T, N_PREV, NUM_CLASSES = 40, 30, 5
@@ -156,6 +157,13 @@ class TestLossAndGradEqualsTape:
         assert_bitwise(got, want)
 
 
+#: Largest float32 deviation from float64 allowed in the loss, its parts and
+#: every gradient, relative to the float64 value (for a gradient, relative to
+#: its tensor's largest entry). The three cases deviate by at most 3.3e-7,
+#: the first warm-up pair by 2.5e-7 and the first supervised step by 1.7e-6.
+FLOAT32_RTOL = 1e-5
+
+
 class TestHeadWarmupEqualsTape:
     def test_warmup_gradient_is_the_tapes_on_the_heads_only(self, monkeypatch):
         # record the first warm-up pair: its two embedding-only passes, its
@@ -189,19 +197,55 @@ class TestHeadWarmupEqualsTape:
         batch = batches[0]
         assert batch.features_prev is feats_prev and len(batch.idx_t)
         n = len(feats_t)
-        _, want, (_, reg) = tape_graph.total_loss_and_grad(
-            params, feats_t, LabelField(np.full(n, IGNORE)), ConfidenceField(np.ones(n)),
-            temporal=batch)
+        # the hand backward on the same float32 inputs, then the float64 tape
+        args = (feats_t, LabelField(np.full(n, IGNORE)), ConfidenceField(np.ones(n)))
+        _, want, (_, reg) = model.total_loss_and_grad(params, *args, temporal=batch)
+        _, tape, _ = tape_graph.total_loss_and_grad(params.astype(np.float64), *args,
+                                                    temporal=batch)
         assert reg != 0.0
         assert sorted(grads) == sorted(HEAD_NAMES)
         for name in HEAD_NAMES:
             assert grads[name].tobytes() == want[name].tobytes(), name
+            deviation = np.abs(grads[name] - tape[name]).max()
+            assert deviation <= FLOAT32_RTOL * np.abs(tape[name]).max(), name
 
 
-#: Largest float32 deviation from float64 allowed in the loss, its parts and
-#: every gradient, relative to the float64 value (for a gradient, relative to
-#: its tensor's largest entry). The three cases deviate by at most 3.3e-7.
-FLOAT32_RTOL = 1e-5
+class TestPretrainStepEqualsTape:
+    def test_first_supervised_gradient_is_float32_and_the_tapes(self, monkeypatch):
+        steps = []
+        adam_step = model.adam_step
+
+        def record_step(params, grads, state, **kwargs):
+            steps.append((params.copy(), grads))
+            return adam_step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(model, "adam_step", record_step)
+        # a corridor frame, as pretraining sees: on the two-cluster toy frames
+        # the first step's embed_b gradient nearly cancels (about 5e-5), and
+        # float32 rounding is then a larger share of it than FLOAT32_RTOL
+        frame = tiny_stream(1)[0]
+
+        def feature_fn(f):
+            return harness.frame_features(f, 20)[1]
+
+        model.pretrain_source([[frame]], epochs=1, seed=4, feature_fn=feature_fn,
+                              num_classes=7, head_epochs=0)
+
+        (params, grads), = steps
+        init = model.NetworkParams.init(9, 7, seed=4).astype(np.float32)
+        for name in params.names():
+            assert params.tensors[name].tobytes() == init.tensors[name].tobytes(), name
+        # one-hot targets, as pretraining supervises: full confidence, no smoothing
+        args = (feature_fn(frame).astype(np.float32), LabelField(frame.gt_labels),
+                ConfidenceField(np.ones(frame.num_points)), 0.0)
+        _, want, _ = model.total_loss_and_grad(params, *args)
+        _, tape, _ = tape_graph.total_loss_and_grad(params.astype(np.float64), *args)
+        assert list(grads) == params.names()
+        for name in params.names():
+            assert grads[name].dtype == np.float32, name
+            assert grads[name].tobytes() == want[name].tobytes(), name
+            deviation = np.abs(grads[name] - tape[name]).max()
+            assert deviation <= FLOAT32_RTOL * np.abs(tape[name]).max(), name
 
 
 class TestFloat32:

@@ -521,6 +521,27 @@ class TestFloat32Adaptation:
         for name in params.names():
             assert params.tensors[name].tobytes() == before.tensors[name].tobytes(), name
 
+    def test_pretrained_checkpoint_round_trip_loses_nothing(self, tmp_path):
+        # pretrain, save and adapt from the file: the same run as from memory
+        trained, _ = model.pretrain_source(
+            [tiny_stream(4)], epochs=1, seed=0, num_classes=7, head_epochs=1, window=2,
+            feature_fn=lambda frame: harness.frame_features(frame, 20)[1])
+        trained.save(tmp_path / "source.ckpt")
+        loaded = model.NetworkParams.load(tmp_path / "source.ckpt")
+        assert loaded.dtype == np.float64
+        for name in trained.names():
+            assert trained.tensors[name].dtype == np.float32, name
+            assert loaded.tensors[name].astype(np.float32).tobytes() == \
+                trained.tensors[name].tobytes(), name
+        frames = tiny_stream(4, seed=5)
+        cfg = harness.AdaptConfig(window=2)
+        (report_file, state_file), (report_mem, state_mem) = (
+            harness.run_tta(frames, params, cfg) for params in (loaded, trained))
+        assert report_file.csv_text(include_time=False) == report_mem.csv_text(include_time=False)
+        for name in trained.names():
+            assert state_file.target_params.tensors[name].tobytes() == \
+                state_mem.target_params.tensors[name].tobytes(), name
+
 
 class TestAblation:
     def test_ladder_rows_accumulate_toggles(self):

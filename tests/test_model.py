@@ -382,6 +382,51 @@ def toy_features(frame):
     return model.normalize_features(feats)
 
 
+def record_pretraining(monkeypatch):
+    """Pretrain on a toy sequence, recording what the network and Adam are handed.
+
+    Returns (params, every forward pass's features, every Adam step's
+    gradients and moments).
+    """
+    inputs, handed = [], []
+    forward_pass, adam_step = model.forward_pass, model.adam_step
+
+    def record_pass(params, features, classify=True):
+        inputs.append(features)
+        return forward_pass(params, features, classify)
+
+    def record_step(params, grads, state, **kwargs):
+        handed.append([*grads.values(), *state.m.values(), *state.v.values()])
+        return adam_step(params, grads, state, **kwargs)
+
+    monkeypatch.setattr(model, "forward_pass", record_pass)
+    monkeypatch.setattr(model, "adam_step", record_step)
+    params, _ = model.pretrain_source([toy_sequence(2, frames=7)], epochs=2, seed=3,
+                                      feature_fn=toy_features, num_classes=2,
+                                      head_epochs=1, window=3)
+    return params, inputs, handed
+
+
+class TestPretrainFloat32:
+    """Pretraining computes in float32, the dtype adaptation runs in."""
+
+    def test_returns_float32_parameters(self, monkeypatch):
+        params, _, _ = record_pretraining(monkeypatch)
+        for name in params.names():
+            assert params.tensors[name].dtype == np.float32, name
+
+    def test_every_forward_pass_reads_float32_features(self, monkeypatch):
+        _, inputs, _ = record_pretraining(monkeypatch)
+        # 2 supervised epochs of 7 frames, then 7 views embedded for the 4 warm-up pairs
+        assert len(inputs) == 2 * 7 + 7
+        assert all(type(x) is np.ndarray and x.dtype == np.float32 for x in inputs)
+
+    def test_adam_is_handed_float32_gradients_and_moments(self, monkeypatch):
+        _, _, handed = record_pretraining(monkeypatch)
+        assert len(handed) == 2 * 7 + 4
+        assert all(a.dtype == np.float32 for arrays in handed for a in arrays)
+
+
 class TestPretrain:
     def test_deterministic(self):
         seq = toy_sequence(0)
