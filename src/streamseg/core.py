@@ -1,11 +1,14 @@
 """Domain types, label taxonomy, validation and the row scatter shared by all modules.
 
 All container types are immutable after construction (backing arrays are
-marked read-only) and therefore safe to share across threads.
+marked read-only) and therefore safe to share across threads. The loops'
+process-wide allocator setting (`retain_freed_memory`) lives here too.
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +56,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
+
+
+#: glibc's `mallopt` parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def retain_freed_memory() -> None:
+    """Keep freed heap memory in the process instead of returning it to the OS.
+
+    The loops allocate and free MB-sized temporaries every frame. By default
+    glibc serves each from its own mapping or trims the heap top back after
+    it, so the next frame faults the same pages in again; how much it does so
+    depends on which array was freed last (glibc's dynamic mmap threshold).
+    This sets glibc's own ceilings for the whole process: the mmap threshold
+    to 32 MiB (its dynamic maximum on 64-bit) and the trim threshold to
+    twice that, as its dynamic rule keeps them. Both are set, because setting
+    either stops the dynamic adjustment. Arrays above 32 MiB still get their
+    own mapping. No arithmetic changes. On a C library other than glibc it
+    does nothing. `run_tta`, `run_ablation` and `pretrain_source` call it
+    when they start; importing the package sets nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a rejected threshold (above 32-bit glibc's ceiling) leaves the dynamic rule on
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def scatter_add_rows(idx, rows, num_rows: int) -> np.ndarray:

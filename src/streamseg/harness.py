@@ -10,7 +10,8 @@ consistency, and a single optimizer step on the combined objective.
 
 `run_tta` and `run_ablation` adapt in float32: they cast the source model
 to float32 once per run, and its source stage and every target model use
-that copy. Labels, probabilities and prototypes stay float64.
+that copy. Labels, probabilities and prototypes stay float64. Both set the
+process's glibc malloc thresholds when they start (`core.retain_freed_memory`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import local_labels, prototypes, spatial
 from .core import (IGNORE, ClassMap, ConfidenceField, Frame, LabelField, SelectionMask,
-                   remap_labels)
+                   remap_labels, retain_freed_memory)
 from .errors import CheckpointMismatch, ConfigInvalid, LabelOutOfRange, LengthMismatch
 from .model import (
     NetworkParams,
@@ -300,6 +301,7 @@ def _run_rows(frames, source_params: NetworkParams, states: list, class_map: Cla
     is the source stage plus its own target stage; the `dump_dir` write (one
     state only) comes after it. Returns one RunReport per state.
     """
+    retain_freed_memory()
     config = states[0].config
     match = any(state.config.use_tgr for state in states)
     history = deque(maxlen=config.window)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spatial, stream
-from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField
+from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField, retain_freed_memory
 from .errors import ConfigInvalid, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
 from .temporal import TemporalBatch, temporal_term
 
@@ -418,7 +418,8 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
     dtype adaptation runs in: the parameters are a float32 copy of
     `NetworkParams.init`, and each frame's and view's features are cast to
     float32 once. Returns (float32 params, per-epoch mean losses); `save`
-    widens them to float64 on disk.
+    widens them to float64 on disk. Like the adaptation loops, it sets the
+    process's glibc malloc thresholds first (`core.retain_freed_memory`).
 
     The encoder/predictor heads receive no gradient from the Dice loss, so
     a short warm-up follows: with the backbone and classifier frozen, the
@@ -449,6 +450,7 @@ def pretrain_source(sequences, epochs: int, seed: int, feature_fn,
             raise ConfigInvalid(f"frame {f.frame_id}: ground-truth label {bad[0]} "
                                 f"is outside [0, {num_classes})")
 
+    retain_freed_memory()
     cache = [feature_fn(f) for f in frames]
     params = NetworkParams.init(cache[0].shape[1], num_classes, seed=seed).astype(np.float32)
     for i, x in enumerate(cache):   # cast once, in place: each step's forward pass reads x as is

@@ -1,6 +1,11 @@
 """Frames, label fields, class maps and their validation."""
 
+import ctypes
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,7 @@ from streamseg.core import (
     ProbabilityField,
     SelectionMask,
     remap_labels,
+    retain_freed_memory,
 )
 from streamseg.errors import (
     ConfigInvalid,
@@ -252,3 +258,65 @@ class TestClassMap:
         cm = ClassMap.identity(7)
         assert cm.raw_to_canonical[3] == 3
         assert cm.num_classes == 7
+
+
+TESTS = Path(__file__).resolve().parent
+
+#: A frame-like allocation loop run after `setup` in a fresh interpreter: one
+#: round to grow the heap, then 20 rounds of four 4 MiB float64 arrays alive
+#: together and freed, counting the minor page faults of those 20 rounds.
+FAULT_PROBE = """
+import resource
+import numpy as np
+import streamseg
+{setup}
+def allocate():
+    arrays = [np.ones(1 << 19) for _ in range(4)]
+    del arrays
+allocate()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    allocate()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def probe_faults(setup=""):
+    # glibc's defaults: no malloc tuning inherited from the environment
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE.format(setup=setup)], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout.split()[-1])
+
+
+on_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                              reason="the allocator setting applies to glibc only")
+
+
+class TestRetainFreedMemory:
+    @on_glibc
+    def test_import_sets_nothing(self):
+        # the premise: with glibc's defaults the loop maps and trims its arrays every round
+        assert probe_faults() > 10_000
+
+    @on_glibc
+    @pytest.mark.parametrize("setup", [
+        "from streamseg import harness\n"
+        "from test_harness import tiny_params, tiny_stream\n"
+        "harness.run_tta(tiny_stream(3), tiny_params(), harness.AdaptConfig(window=2))",
+        "from streamseg import model\n"
+        "from test_model import toy_features, toy_sequence\n"
+        "model.pretrain_source([toy_sequence(0, frames=3)], epochs=1, seed=0,\n"
+        "                      feature_fn=toy_features, num_classes=2, head_epochs=0)",
+    ], ids=["run_tta", "pretrain_source"])
+    def test_loops_keep_freed_memory(self, setup):
+        assert probe_faults(setup) < 1_000
+
+    def test_other_c_libraries_are_untouched(self, monkeypatch):
+        def no_libc(*args, **kwargs):
+            raise AssertionError("loaded a C library")
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert retain_freed_memory() is None
