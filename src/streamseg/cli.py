@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StreamSegError as e:
+    except (StreamSegError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

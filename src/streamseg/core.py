@@ -42,14 +42,17 @@ CANONICAL_CLASSES = (
 )
 
 
-def read_text(path) -> str:
-    """The contents of a UTF-8 text file; one that cannot be read or decoded is an IoFailure."""
+def text_lines(path) -> list:
+    """(line number, stripped line) for each non-blank line of a UTF-8 text file.
+
+    Text that is not UTF-8 is an IoFailure naming the file, which Python's
+    own UnicodeDecodeError does not; an OSError is left to the caller.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise IoFailure(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    return [(n, line) for n, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -248,9 +251,8 @@ class ClassMap:
         malformed table raises ConfigInvalid naming the line.
         """
         table = {}
-        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for lineno, line in text_lines(path):
+            if line.startswith("#"):
                 continue
             try:
                 raw, canon = map(int, line.split())

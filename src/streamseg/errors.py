@@ -73,7 +73,7 @@ class ConfigInvalid(StreamSegError):
 
 
 class IoFailure(StreamSegError):
-    pass
+    """A text file that is not UTF-8, or a sequence directory with no scans (not an OSError)."""
 
 
 class MalformedRecord(StreamSegError):

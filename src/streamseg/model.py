@@ -32,7 +32,7 @@ import numpy as np
 
 from . import spatial, stream
 from .core import IGNORE, ConfidenceField, LabelField, ProbabilityField, retain_freed_memory
-from .errors import ConfigInvalid, IoFailure, MalformedRecord, NoGroundTruth, ShapeMismatch
+from .errors import ConfigInvalid, MalformedRecord, NoGroundTruth, ShapeMismatch
 from .temporal import TemporalBatch, temporal_term
 
 _MAGIC = b"HGL1"
@@ -103,23 +103,17 @@ class NetworkParams:
         return NetworkParams({k: v.astype(dtype) for k, v in self.tensors.items()})
 
     def save(self, path) -> None:
-        try:
-            with open(path, "wb") as f:
-                f.write(_MAGIC)
-                for name in self.names():
-                    arr = np.ascontiguousarray(self.tensors[name], dtype=np.float64)
-                    f.write(struct.pack("<I", arr.ndim))
-                    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                    f.write(arr.tobytes())
-        except OSError as e:
-            raise IoFailure(str(e)) from e
+        with open(path, "wb") as f:
+            f.write(_MAGIC)
+            for name in self.names():
+                arr = np.ascontiguousarray(self.tensors[name], dtype=np.float64)
+                f.write(struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
 
     @classmethod
     def load(cls, path) -> "NetworkParams":
-        try:
-            blob = Path(path).read_bytes()
-        except OSError as e:
-            raise IoFailure(str(e)) from e
+        blob = Path(path).read_bytes()
         if blob[:4] != _MAGIC:
             raise MalformedRecord(f"{path}: bad checkpoint magic")
         off = 4

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CANONICAL_CLASSES, Frame, read_text
+from .core import CANONICAL_CLASSES, Frame, text_lines
 from .errors import ConfigInvalid, IoFailure, MalformedRecord, PoseCountMismatch
 
 _NUM_CLASSES = len(CANONICAL_CLASSES)
@@ -88,9 +88,8 @@ class ShiftConfig:
 def _parse_kv_file(path):
     """{key: (value, "path:line")} of a key=value file; a repeated key is ConfigInvalid."""
     pairs = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{lineno}: expected key=value")
@@ -336,44 +335,43 @@ def write_label_file(path, labels) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels > 0xFFFF):
         raise ValueError("label ids must fit in 16 unsigned bits")
-    try:
-        labels.astype("<u4").tofile(path)
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    labels.astype("<u4").tofile(path)
 
 
 def read_label_file(path) -> np.ndarray:
     """Read a .label file; a size that is not a whole number of records is malformed."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    blob = Path(path).read_bytes()
     if len(blob) % 4 != 0:
         raise MalformedRecord(f"{path}: size {len(blob)} not divisible by 4")
     return (np.frombuffer(blob, dtype="<u4") & 0xFFFF).astype(np.int64)
 
 
 def write_sequence(frames, directory) -> None:
-    """Write frames in KITTI layout: NNNNNN.bin/.label named by frame id, plus poses.txt."""
+    """Write frames in KITTI layout: NNNNNN.bin/.label named by frame id, plus poses.txt.
+
+    A directory that already holds a scan of another frame is refused before
+    anything is written, since the sequence read back would hold that scan too.
+    """
     frames = list(frames)
-    ids = [frame.frame_id for frame in frames]
-    if min(ids, default=0) < 0 or len(set(ids)) != len(ids):
+    ids = {frame.frame_id for frame in frames}
+    if min(ids, default=0) < 0 or len(ids) != len(frames):
         raise ValueError("frame ids name the files, so they must be distinct and >= 0")
     directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        pose_lines = []
-        for frame in frames:
-            stem = directory / f"{frame.frame_id:06d}"
-            record = np.zeros((frame.num_points, 4), dtype="<f4")
-            record[:, :3] = frame.points.astype("<f4")
-            record.tofile(stem.with_suffix(".bin"))
-            if frame.gt_labels is not None:
-                write_label_file(stem.with_suffix(".label"), frame.gt_labels)
-            pose_lines.append(" ".join(f"{v:.17g}" for v in frame.pose[:3].ravel()))
-        (directory / "poses.txt").write_text("\n".join(pose_lines) + "\n")
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    stale = [path for n, path in numbered_files(directory, ".bin").items() if n not in ids]
+    if stale:
+        raise ConfigInvalid(f"{stale[0]}: not one of the {len(frames)} frames being written; "
+                            "write the sequence into a directory without other scans")
+    directory.mkdir(parents=True, exist_ok=True)
+    pose_lines = []
+    for frame in frames:
+        stem = directory / f"{frame.frame_id:06d}"
+        record = np.zeros((frame.num_points, 4), dtype="<f4")
+        record[:, :3] = frame.points.astype("<f4")
+        record.tofile(stem.with_suffix(".bin"))
+        if frame.gt_labels is not None:
+            write_label_file(stem.with_suffix(".label"), frame.gt_labels)
+        pose_lines.append(" ".join(f"{v:.17g}" for v in frame.pose[:3].ravel()))
+    (directory / "poses.txt").write_text("\n".join(pose_lines) + "\n")
 
 
 def numbered_files(directory, suffix: str) -> dict:
@@ -404,28 +402,25 @@ def read_sequence(directory):
     if not scans:
         raise IoFailure(f"{directory}: no .bin files")
     pose_path = directory / "poses.txt"
-    pose_rows = [line for line in read_text(pose_path).splitlines() if line.strip()]
+    pose_rows = text_lines(pose_path)
     if len(pose_rows) != len(scans):
         raise PoseCountMismatch(
             f"{directory}: {len(pose_rows)} poses for {len(scans)} frames")
 
     frames = []
-    for i, (frame_id, bin_path) in enumerate(scans.items()):
-        try:
-            blob = bin_path.read_bytes()
-        except OSError as e:
-            raise IoFailure(str(e)) from e
+    for (frame_id, bin_path), (lineno, row) in zip(scans.items(), pose_rows):
+        blob = bin_path.read_bytes()
         if len(blob) % 16 != 0:
             raise MalformedRecord(f"{bin_path}: size {len(blob)} not divisible by 16")
         record = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)
         points = record[:, :3].astype(np.float64)
 
         try:
-            values = [float(v) for v in pose_rows[i].split()]
+            values = [float(v) for v in row.split()]
         except ValueError:
             values = []
         if len(values) != 12:
-            raise MalformedRecord(f"{pose_path}: line {i + 1} must hold 12 numbers")
+            raise MalformedRecord(f"{pose_path}: line {lineno} must hold 12 numbers")
         pose = np.vstack([np.array(values).reshape(3, 4), [0.0, 0.0, 0.0, 1.0]])
 
         labels = None

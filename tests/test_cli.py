@@ -291,6 +291,32 @@ class TestPipeline:
         assert cli.main(["adapt", str(pipeline / "seq"), "--checkpoint", str(ckpt)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {ckpt}: {message}")
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "{out}", "--scene", "{root}/scene.cfg"],
+        ["pretrain", "{root}/seq", "--out", "{out}", "--epochs", "1"],
+        ["adapt", "{root}/seq", "--checkpoint", "{root}/ckpt.bin", "--report", "{out}"],
+        ["adapt", "{root}/seq", "--checkpoint", "{root}/ckpt.bin", "--dump-pred", "{out}"],
+    ], ids=["generate", "pretrain", "report", "dump-pred"])
+    def test_output_that_cannot_be_written_is_an_error_line(self, pipeline, tmp_path, capsys,
+                                                            command):
+        # nothing can be created beneath a regular file, not even by root
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert cli.main([arg.format(root=pipeline, out=out) for arg in command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+    def test_generate_into_a_sequence_with_more_frames_is_an_error_line(self, pipeline,
+                                                                        tmp_path, capsys):
+        seq = tmp_path / "seq"
+        shutil.copytree(pipeline / "seq", seq)
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(TINY_SCENE.replace("frames = 6", "frames = 3"))
+        assert cli.main(["generate", str(seq), "--scene", str(scene)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {seq / '000003.bin'}: ")
+        assert len(stream.read_sequence(seq)) == 6
+
 
 class TestErrorPaths:
     def test_missing_sequence_dir(self, tmp_path, capsys):

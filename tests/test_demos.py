@@ -8,6 +8,7 @@ module attributes that README.md names in backticks must resolve too.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import re
@@ -82,3 +83,30 @@ def test_readme_names_exist():
     missing = [f"{module}.{attr}" for module, attr in sorted(named)
                if not hasattr(importlib.import_module(f"streamseg.{module}"), attr)]
     assert not missing
+
+
+def test_only_the_cli_catches_os_errors():
+    """Library callers get Python's own OSError; `cli.main` alone turns one into an `error:` line.
+
+    A handler counts when it names OSError, a subclass or a base of it, or is a bare `except:`.
+    """
+    catching = {name for name, obj in vars(builtins).items() if isinstance(obj, type)
+                and (issubclass(obj, OSError) or issubclass(OSError, obj))}
+    found = []
+    for path in sorted((ROOT / "src" / "streamseg").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a nested function comes later in the walk, so the innermost one wins
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names = {"BaseException" if node is None else
+                     node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+                     for node in caught}
+            if names & catching:
+                found.append(f"{path.stem}.{owner.get(handler, '<module>')}")
+    assert found == ["cli.main"]

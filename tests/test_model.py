@@ -306,6 +306,10 @@ class TestCheckpoint:
             assert back.tensors[name].astype(np.float32).tobytes() == \
                 single.tensors[name].tobytes(), name
 
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            model.NetworkParams.load(tmp_path / "none.bin")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -10,6 +10,7 @@ from streamseg.core import CANONICAL_CLASSES, Frame
 from streamseg.errors import (ConfigInvalid, InvalidPose, IoFailure, MalformedRecord,
                               PoseCountMismatch)
 from streamseg import harness, stream
+from streamseg.spatial import match_correspondences
 
 
 SMALL = dict(seed=0, frames=5)
@@ -158,6 +159,22 @@ class TestGeneration:
                                           stream.ShiftConfig())
         xs = [f.pose[0, 3] for f in frames]
         assert np.all(np.diff(xs) > 0)
+
+    def test_yaw_step_turns_the_sensor(self):
+        frames = stream.generate_sequence(stream.SceneConfig(seed=7, frames=2, yaw_step=0.05),
+                                          stream.ShiftConfig())
+        c, s = np.cos(0.05), np.sin(0.05)
+        np.testing.assert_array_equal(frames[1].pose[:3, :3],
+                                      [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        # the turned scan sees the same world through the turned pose
+        pairs = match_correspondences(frames[1], frames[0], 1e-6)
+        assert len(pairs.idx_prev) > 0.99 * frames[0].num_points
+        assert pairs.dist.max() < 1e-14
+
+    def test_sensor_height_offset_raises_every_pose(self):
+        scene = stream.SceneConfig(seed=7, frames=2)
+        frames = stream.generate_sequence(scene, stream.ShiftConfig(sensor_height_offset=0.5))
+        assert [f.pose[2, 3] for f in frames] == [scene.sensor_height + 0.5] * 2
 
     def test_density_factor_thins_points(self):
         full = stream.generate_sequence(stream.SceneConfig(**SMALL), stream.ShiftConfig())
@@ -358,6 +375,47 @@ class TestSequenceIo:
         poses.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidPose, match="^frame 1: pose must be a finite 4x4 matrix$"):
             stream.read_sequence(tmp_path / "seq")
+
+    def test_missing_label_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            stream.read_label_file(tmp_path / "none.label")
+
+    def test_pose_error_names_the_line_as_numbered_in_the_file(self, tmp_path):
+        frames = [Frame(i, np.ones((4, 3)), np.eye(4)) for i in range(3)]
+        stream.write_sequence(frames, tmp_path / "seq")
+        poses = tmp_path / "seq" / "poses.txt"
+        first, second, third = poses.read_text().splitlines()
+        poses.write_text("\n".join([first, "", "  ", second, third.rsplit(" ", 1)[0]]) + "\n")
+        with pytest.raises(MalformedRecord, match=r"poses\.txt: line 5 must hold 12 numbers$"):
+            stream.read_sequence(tmp_path / "seq")
+
+    def test_scans_of_other_frames_refused_before_writing(self, tmp_path):
+        seq = tmp_path / "seq"
+        stream.write_sequence(stream.generate_sequence(stream.SceneConfig(seed=2, frames=5),
+                                                       stream.ShiftConfig()), seq)
+        before = stream.read_sequence(seq)
+        shorter = stream.generate_sequence(stream.SceneConfig(seed=3, frames=3),
+                                           stream.ShiftConfig())
+        with pytest.raises(ConfigInvalid, match=r"/000003\.bin: not one of the 3 frames"):
+            stream.write_sequence(shorter, seq)
+        after = stream.read_sequence(seq)
+        assert len(after) == 5
+        for a, b in zip(before, after):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.pose.tobytes() == b.pose.tobytes()
+
+    def test_rewriting_the_same_frames(self, tmp_path):
+        seq = tmp_path / "seq"
+        stream.write_sequence(stream.generate_sequence(stream.SceneConfig(seed=2, frames=3),
+                                                       stream.ShiftConfig()), seq)
+        frames = stream.generate_sequence(stream.SceneConfig(seed=3, frames=3),
+                                          stream.ShiftConfig())
+        stream.write_sequence(frames, seq)
+        back = stream.read_sequence(seq)
+        assert len(back) == 3
+        for orig, rt in zip(frames, back):
+            assert rt.points.tobytes() == orig.points.astype("<f4").astype(np.float64).tobytes()
+            np.testing.assert_array_equal(rt.gt_labels, orig.gt_labels)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoFailure):
